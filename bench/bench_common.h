@@ -20,6 +20,7 @@
 #include "sim/soi.h"
 #include "sparql/ast.h"
 #include "sparql/parser.h"
+#include "tools/tool_common.h"
 #include "util/stopwatch.h"
 
 namespace sparqlsim::bench {
@@ -59,9 +60,10 @@ inline std::optional<graph::GraphDatabase> LoadDbOverride(int argc,
   std::fprintf(stderr, "[bench] loading database %s ...\n", path);
   // SQSIMDB2 files open lazily; SPARQLSIM_RESIDENT_MB bounds their
   // resident matrix bytes (0/unset = unbounded), mirroring the tools.
+  const std::optional<size_t> budget = tools::ResidentBudgetBytes(nullptr);
+  if (!budget) std::abort();
   graph::BinaryIo::LoadOptions load_options;
-  load_options.resident_budget_bytes =
-      EnvSize("SPARQLSIM_RESIDENT_MB", 0) << 20;
+  load_options.resident_budget_bytes = *budget;
   auto loaded = graph::BinaryIo::LoadFile(path, load_options);
   if (!loaded.ok()) {
     std::fprintf(stderr, "[bench] cannot load %s: %s\n", path,

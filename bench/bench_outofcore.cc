@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -142,13 +143,15 @@ int Run(int argc, char** argv) {
   std::printf("first query: ?s <%s> ?o\n\n", predicate.c_str());
 
   const size_t reps = bench::EnvSize("SPARQLSIM_BENCH_REPS", 3);
-  const size_t budget_mb = bench::EnvSize("SPARQLSIM_RESIDENT_MB", 1);
+  const std::optional<size_t> budget =
+      tools::ResidentBudgetBytes(nullptr, /*default_mb=*/1);
+  if (!budget) return 1;
 
   graph::BinaryIo::LoadOptions eager;
   eager.eager = true;
   graph::BinaryIo::LoadOptions lazy;
   graph::BinaryIo::LoadOptions lazy_budget;
-  lazy_budget.resident_budget_bytes = budget_mb << 20;
+  lazy_budget.resident_budget_bytes = *budget;
 
   std::vector<VariantRow> rows;
   rows.push_back(RunVariant("v1-eager", v1_path, eager, query, reps));

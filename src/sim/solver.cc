@@ -7,8 +7,8 @@
 #include <memory>
 #include <numeric>
 
-#include "util/candidate_set.h"
 #include "util/counted_accumulator.h"
+#include "util/hierarchical_bitvector.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -96,19 +96,6 @@ constexpr size_t kAccBuildFraction = 8;
 /// and keep the plain removed-vs-full comparison).
 constexpr size_t kProbePenalty = 8;
 
-/// SolverOptions::KernelMode → the per-set representation policy.
-util::CandidateSet::Policy PolicyFor(SolverOptions::KernelMode mode) {
-  switch (mode) {
-    case SolverOptions::KernelMode::kDense:
-      return util::CandidateSet::Policy::kDense;
-    case SolverOptions::KernelMode::kCompressed:
-      return util::CandidateSet::Policy::kCompressed;
-    case SolverOptions::KernelMode::kAuto:
-      break;
-  }
-  return util::CandidateSet::Policy::kAuto;
-}
-
 /// What one inequality's shard tasks need from its plan step, beyond the
 /// EvalKind tag: which matrices to read, which chi set is the selection,
 /// and which incremental tier (if any) performs the data work. Written by
@@ -121,9 +108,6 @@ struct SlotPlan {
   /// kDelta data work: 0 = none (bookkeeping-only sync), 1 = counted
   /// retraction, 2 = snapshot probe, 3 = accumulator rebuild.
   uint8_t delta_tier = 0;
-  /// Selection was materialized into the slot's flat view (compressed
-  /// chi(rhs), where per-shard Test/walk would re-scan the run stream).
-  bool use_view = false;
   /// kRow under incremental_eval: copy the finished mask into the
   /// snapshot-tier product after the shard barrier.
   bool refresh_product = false;
@@ -190,7 +174,7 @@ struct SolveScratch::Impl {
   /// solve; credited to SolveStats::bytes_recycled on reuse.
   size_t payload_bytes = 0;
 
-  std::vector<util::CandidateSet> chi;
+  std::vector<util::HierarchicalBitVector> chi;
   std::vector<size_t> counts;
   std::vector<std::vector<uint32_t>> dependents;
   std::vector<uint32_t> order;
@@ -205,16 +189,15 @@ struct SolveScratch::Impl {
   /// Per-round slot vectors, lazily grown to the widest round seen.
   /// Recycled entries hold stale content by design: every slot a round
   /// reads is fully written first (plans/kinds/rebuilt per slot in the
-  /// plan step; masks/views/gone overwritten whole by MaterializeInto,
-  /// copy-assign, or the write-what-you-clear MultiplyRange; cleared_ks
-  /// zeroed in the plan step for kDelta slots).
+  /// plan step; masks/gone overwritten whole by copy-assign or the
+  /// write-what-you-clear MultiplyRange; cleared_ks zeroed in the plan
+  /// step for kDelta slots).
   std::vector<util::BitVector> masks;
   std::vector<EvalKind> kinds;
   std::vector<const util::BitVector*> mask_ptrs;
   std::vector<size_t> cleared;
   std::vector<uint8_t> rebuilt;
   std::vector<SlotPlan> plans;
-  std::vector<util::BitVector> views;
   std::vector<util::BitVector> gone;
   std::vector<size_t> cleared_ks;
 };
@@ -326,9 +309,6 @@ void SolveStats::Accumulate(const SolveStats& other) {
   acc_rebuilds += other.acc_rebuilds;
   cols_cleared += other.cols_cleared;
   blocks_skipped += other.blocks_skipped;
-  compressed_ops += other.compressed_ops;
-  repr_compressions += other.repr_compressions;
-  repr_decompressions += other.repr_decompressions;
   parallel_rounds += other.parallel_rounds;
   max_round_width = std::max(max_round_width, other.max_round_width);
   threads_used = std::max(threads_used, other.threads_used);
@@ -407,20 +387,18 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   const bool recycled = S.prepared && S.universe == n;
   bool grew = false;
 
-  // Candidate sets live behind the CandidateSet representation switch for
-  // the whole fixpoint: hierarchical-dense (zero-block skipping over the
-  // SIMD word kernels) or GAP/RLE-compressed per the kernel mode, with
-  // kAuto compressing sets as they collapse. Recycled sets are reset to
-  // fresh-constructed state (ResetForReuse is observationally a fresh
-  // ctor); flat vectors are copied into the Solution at the end.
-  const util::CandidateSet::Policy policy = PolicyFor(options.kernel_mode);
-  std::vector<util::CandidateSet>& chi = S.chi;
+  // Each candidate set is one HierarchicalBitVector for the whole
+  // fixpoint: zero-block skipping over the SIMD word kernels. Recycled
+  // sets are reset to fresh-constructed state (ResetForReuse is
+  // observationally a fresh ctor); flat vectors are copied into the
+  // Solution at the end.
+  std::vector<util::HierarchicalBitVector>& chi = S.chi;
   const size_t chi_ready = std::min(chi.size(), num_vars);
-  for (size_t v = 0; v < chi_ready; ++v) chi[v].ResetForReuse(n, policy);
+  for (size_t v = 0; v < chi_ready; ++v) chi[v].ResetForReuse(n);
   if (chi.size() < num_vars) {
     grew = true;
     chi.reserve(num_vars);
-    while (chi.size() < num_vars) chi.emplace_back(n, policy);
+    while (chi.size() < num_vars) chi.emplace_back(n);
   }
   S.counts.assign(num_vars, 0);
   std::vector<size_t>& counts = S.counts;
@@ -429,7 +407,7 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   for (size_t v = 0; v < num_vars; ++v) {
     if (soi.unsatisfiable_vars[v]) continue;  // stays empty
     if (initial != nullptr) {
-      chi[v].ResetTo((*initial)[v], policy);
+      chi[v].AssignFrom((*initial)[v]);
       if (soi.constants[v]) {
         util::BitVector pin(n);
         pin.Set(*soi.constants[v]);
@@ -582,16 +560,15 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   // the previous solve left: every round's plan step rewrites kinds[k],
   // plans[k], and rebuilt[k] for each live slot before anything reads
   // them, mask_ptrs[k] is only dereferenced for kinds that just wrote it,
-  // and the mask/view/gone payloads are fully overwritten by the kernels
-  // that claim them (MultiplyRange zeroes the words it is about to write;
-  // MaterializeInto and copy-assign overwrite wholesale).
+  // and the mask/gone payloads are fully overwritten by the kernels that
+  // claim them (MultiplyRange zeroes the words it is about to write;
+  // copy-assign overwrites wholesale).
   std::vector<util::BitVector>& masks = S.masks;
   std::vector<EvalKind>& kinds = S.kinds;
   std::vector<const util::BitVector*>& mask_ptrs = S.mask_ptrs;
   std::vector<size_t>& cleared = S.cleared;  // kDelta-retraction clears
   std::vector<uint8_t>& rebuilt = S.rebuilt;  // slot rebuilt an accumulator
   std::vector<SlotPlan>& plans = S.plans;
-  std::vector<util::BitVector>& views = S.views;  // flat compressed chi(rhs)
   std::vector<util::BitVector>& gone = S.gone;  // rows gone from chi(rhs)
   std::vector<size_t>& cleared_ks = S.cleared_ks;  // (slot, shard) clears
 
@@ -619,7 +596,7 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
     if (idx >= num_matrix) {
       const Soi::SubIneq& s = soi.sub_ineqs[idx - num_matrix];
       kinds[k] = EvalKind::kSub;
-      chi[s.rhs].MaterializeInto(&masks[k]);
+      masks[k] = chi[s.rhs].bits();
       mask_ptrs[k] = &masks[k];
       return;
     }
@@ -655,16 +632,6 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
         row_wise = counts[m.rhs] < counts[m.lhs];
         break;
     }
-
-    // A compressed selection would make every shard re-scan the run
-    // stream (Test probes and wide-branch walks); flatten it once here
-    // instead, under the same conditions the fused kernels flattened.
-    auto prepare_view = [&](bool needed) {
-      if (needed && chi[m.rhs].compressed()) {
-        chi[m.rhs].MaterializeInto(&views[k]);
-        sp.use_view = true;
-      }
-    };
 
     if (options.incremental_eval) {
       IneqState& st = inc_state[idx];
@@ -704,26 +671,19 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
             rebuilt[k] = 1;
             sp.delta_tier = 3;
             st.acc.PrepareRebuild(a.cols(), /*force_wide=*/num_shards > 1);
-            prepare_view(true);
             st.acc_valid = true;
             st.product_valid = false;
           } else if (removed != 0) {
             gone[k] = st.last_rhs;
-            chi[m.rhs].ClearBitsIn(&gone[k]);
-            if (st.acc_valid) {
-              sp.delta_tier = 1;
-            } else {
-              // Snapshot tier: only columns of removed rows can leave the
-              // product; each is re-checked with one early-exit cover
-              // probe in the shard tasks. Probes hit Test() per
-              // neighbour, a stream scan on a compressed set, so pay one
-              // O(n/64) materialization up front instead.
-              sp.delta_tier = 2;
-              prepare_view(true);
-            }
+            gone[k].AndNotWith(chi[m.rhs].bits());
+            // Counted retraction while the counts are live; otherwise the
+            // snapshot tier: only columns of removed rows can leave the
+            // product, and each is re-checked with one early-exit cover
+            // probe in the shard tasks.
+            sp.delta_tier = st.acc_valid ? 1 : 2;
           }
           if (removed != 0 || rebuilt[k]) {
-            chi[m.rhs].MaterializeInto(&st.last_rhs);
+            st.last_rhs = chi[m.rhs].bits();
             st.last_count = counts[m.rhs];
           }
           // Either tier's product equals chi(rhs) *b A exactly — the same
@@ -741,9 +701,8 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
         // counts no longer match any snapshot we keep).
         kinds[k] = EvalKind::kRow;
         masks[k].Resize(n);
-        prepare_view(counts[m.rhs] * 8 >= a.NonEmptyRows().size());
         sp.refresh_product = true;
-        chi[m.rhs].MaterializeInto(&st.last_rhs);
+        st.last_rhs = chi[m.rhs].bits();
         st.last_count = counts[m.rhs];
         st.product_valid = true;
         st.acc_valid = false;
@@ -755,16 +714,12 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
     if (row_wise) {
       kinds[k] = EvalKind::kRow;
       masks[k].Resize(n);
-      // Same flatten rule as BitMatrix::Multiply's CandidateSet overload:
-      // only the wide branch probes Test per non-empty row.
-      prepare_view(counts[m.rhs] * 8 >= a.NonEmptyRows().size());
       mask_ptrs[k] = &masks[k];
     } else {
       kinds[k] = EvalKind::kCol;
       // Keep candidate j of lhs iff column j of A intersects chi(rhs);
       // column j of A is row j of A^T.
-      chi[m.lhs].MaterializeInto(&masks[k]);
-      prepare_view(true);
+      masks[k] = chi[m.lhs].bits();
       mask_ptrs[k] = &masks[k];
     }
   };
@@ -780,28 +735,17 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
     const SlotPlan& sp = plans[k];
     switch (kinds[k]) {
       case EvalKind::kRow:
-        if (sp.use_view) {
-          sp.a->MultiplyRange(views[k], range_begin, range_end, &masks[k]);
-        } else {
-          sp.a->MultiplyRange(chi[sp.rhs], range_begin, range_end, &masks[k]);
-        }
+        sp.a->MultiplyRange(chi[sp.rhs], range_begin, range_end, &masks[k]);
         break;
       case EvalKind::kCol:
         ForEachSetBitInRange(masks[k], range_begin, range_end, [&](uint32_t j) {
-          const bool covered =
-              sp.use_view ? sp.a_t->RowIntersectsAny(j, views[k])
-                          : sp.a_t->RowIntersectsAny(j, chi[sp.rhs]);
-          if (!covered) masks[k].Reset(j);
+          if (!sp.a_t->RowIntersects(j, chi[sp.rhs].bits())) masks[k].Reset(j);
         });
         break;
       case EvalKind::kDelta: {
         IneqState& st = *sp.st;
         if (sp.delta_tier == 3) {
-          if (sp.use_view) {
-            st.acc.RebuildRange(*sp.a, views[k], range_begin, range_end);
-          } else {
-            st.acc.RebuildRange(*sp.a, chi[sp.rhs], range_begin, range_end);
-          }
+          st.acc.RebuildRange(*sp.a, chi[sp.rhs], range_begin, range_end);
         } else if (sp.delta_tier == 1) {
           cleared_ks[k * num_shards + s] =
               st.acc.RetractRange(*sp.a, gone[k], range_begin, range_end);
@@ -814,8 +758,7 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
             for (; it != row.end() && *it < range_end; ++it) {
               const uint32_t c = *it;
               if (st.product.Test(c) &&
-                  !(sp.use_view ? sp.a_t->RowIntersectsAny(c, views[k])
-                                : sp.a_t->RowIntersectsAny(c, chi[sp.rhs]))) {
+                  !sp.a_t->RowIntersects(c, chi[sp.rhs].bits())) {
                 st.product.Reset(c);
                 ++probe_cleared;
               }
@@ -857,7 +800,6 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
       cleared.resize(width);
       rebuilt.resize(width);
       plans.resize(width);
-      views.resize(width);
       gone.resize(width);
     }
     if (cleared_ks.size() < width * num_shards) {
@@ -959,17 +901,13 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
     carry->impl_->shards = num_shards;
   }
 
-  // Export the flat candidate vectors; harvest the representation-layer
-  // counters first. MaterializeInto (not TakeBits) so chi keeps its
-  // summary/run structure for the next solve on this scratch.
+  // Export the flat candidate vectors and harvest the skip/clear
+  // counters. A copy (not TakeBits) so chi keeps its payload and summary
+  // for the next solve on this scratch.
   for (size_t v = 0; v < num_vars; ++v) {
-    const util::CandidateSet::ReprStats repr = chi[v].TakeStats();
-    stats.blocks_skipped += repr.blocks_skipped;
-    stats.compressed_ops += repr.compressed_ops;
-    stats.repr_compressions += repr.compressions;
-    stats.repr_decompressions += repr.decompressions;
-    stats.words_cleared_sparse += repr.words_cleared;
-    chi[v].MaterializeInto(&solution.candidates[v]);
+    stats.blocks_skipped += chi[v].TakeBlocksSkipped();
+    stats.words_cleared_sparse += chi[v].TakeWordsCleared();
+    solution.candidates[v] = chi[v].bits();
   }
 
   // Scratch accounting, stamped at solve end so slot growth during the
@@ -983,12 +921,11 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
     stats.scratch_allocs = 1;
   }
   size_t payload = work.queued.WordCount() * sizeof(uint64_t);
-  for (const util::CandidateSet& c : chi) payload += c.PayloadBytes();
+  for (const util::HierarchicalBitVector& c : chi) {
+    payload += c.bits().WordCount() * sizeof(uint64_t);
+  }
   for (const util::BitVector& m : masks) {
     payload += m.WordCount() * sizeof(uint64_t);
-  }
-  for (const util::BitVector& v : views) {
-    payload += v.WordCount() * sizeof(uint64_t);
   }
   for (const util::BitVector& g : gone) {
     payload += g.WordCount() * sizeof(uint64_t);

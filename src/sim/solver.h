@@ -53,17 +53,6 @@ struct SolverOptions {
   /// never pay the O(cols) counter memory.
   bool incremental_eval = true;
 
-  /// Candidate-set representation kernel (util::CandidateSet policy).
-  /// kDense pins every chi(v) to the hierarchical dense layout — the
-  /// scalar-dense path is the differential oracle the other modes are
-  /// verified against. kCompressed forces the GAP/RLE run-list layout.
-  /// kAuto switches per set by occupancy with hysteresis. Solutions,
-  /// fixpoint trajectories, and the semantic counters (rounds,
-  /// evaluations, updates, eval-kind splits) are bit-identical across all
-  /// three — only wall-clock and the representation counters differ.
-  enum class KernelMode { kAuto, kDense, kCompressed };
-  KernelMode kernel_mode = KernelMode::kAuto;
-
   /// Safety valve for experiments; 0 means no limit.
   size_t max_rounds = 0;
 
@@ -202,15 +191,6 @@ struct SolveStats {
   /// grows as candidate sets collapse.
   size_t blocks_skipped = 0;
 
-  /// Representation-layer counters (SolverOptions::kernel_mode). Kernel
-  /// executions performed directly on GAP/RLE-compressed candidate sets
-  /// (ANDs and drains that never inflated to words), and layout switches
-  /// either way. Representation-dependent by definition — they differ
-  /// across kernel modes while the semantic counters above stay identical.
-  size_t compressed_ops = 0;
-  size_t repr_compressions = 0;
-  size_t repr_decompressions = 0;
-
   /// Per-round parallelism counters: rounds whose evaluation phase ran on a
   /// thread pool, the widest round (unstable inequalities evaluated
   /// together — the available per-round parallelism), and the executor count
@@ -233,7 +213,7 @@ struct SolveStats {
   /// footprint (the malloc+memset traffic avoided); `words_cleared_sparse`
   /// counts the payload words the summary-guided sparse clears actually
   /// zeroed while wiping recycled buffers. Like threads_used these are
-  /// scheduling/representation counters: exempt from trajectory
+  /// scheduling/allocation counters: exempt from trajectory
   /// comparisons, which assert the semantic counters above instead.
   size_t scratch_reuses = 0;
   size_t scratch_allocs = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/candidate_set.h"
 #include "util/hierarchical_bitvector.h"
 
 namespace sparqlsim::util {
@@ -62,22 +61,6 @@ void BitMatrix::Multiply(const HierarchicalBitVector& x, BitVector* out) const {
   MultiplyImpl(x, out);
 }
 
-void BitMatrix::Multiply(const CandidateSet& x, BitVector* out) const {
-  assert(x.size() == rows_);
-  assert(out->size() == cols_);
-  // MultiplyImpl's wide branch probes x.Test per non-empty row, which is a
-  // run-stream scan on a compressed set. When that branch would be taken,
-  // flatten the runs once (O(size/64)) and multiply the flat vector; the
-  // narrow branch streams ForEachSetBit and is cheap in either layout.
-  if (x.compressed() && x.Count() * 8 >= NonEmptyRows().size()) {
-    BitVector flat;
-    x.MaterializeInto(&flat);
-    MultiplyImpl(flat, out);
-    return;
-  }
-  MultiplyImpl(x, out);
-}
-
 void BitMatrix::MultiplyRange(const BitVector& x, size_t col_begin,
                               size_t col_end, BitVector* out) const {
   assert(x.size() == rows_);
@@ -92,22 +75,6 @@ void BitMatrix::MultiplyRange(const HierarchicalBitVector& x, size_t col_begin,
                               size_t col_end, BitVector* out) const {
   assert(x.size() == rows_);
   assert(out->size() == cols_);
-  MultiplyRangeImpl(x, col_begin, col_end, out);
-}
-
-void BitMatrix::MultiplyRange(const CandidateSet& x, size_t col_begin,
-                              size_t col_end, BitVector* out) const {
-  assert(x.size() == rows_);
-  assert(out->size() == cols_);
-  // Same flatten rule as Multiply — but note the solver materializes
-  // compressed selections once per inequality *before* fanning out its
-  // shard lanes, so this per-call flatten is only paid by direct callers.
-  if (x.compressed() && x.Count() * 8 >= NonEmptyRows().size()) {
-    BitVector flat;
-    x.MaterializeInto(&flat);
-    MultiplyRangeImpl(flat, col_begin, col_end, out);
-    return;
-  }
   MultiplyRangeImpl(x, col_begin, col_end, out);
 }
 

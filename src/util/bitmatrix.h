@@ -10,7 +10,6 @@
 
 namespace sparqlsim::util {
 
-class CandidateSet;
 class HierarchicalBitVector;
 
 /// A boolean matrix in sparse-row-indexed CSR form.
@@ -84,11 +83,6 @@ class BitMatrix {
   /// Output is bit-identical to the BitVector overload.
   void Multiply(const HierarchicalBitVector& x, BitVector* out) const;
 
-  /// Same product for a representation-switching selector: compressed
-  /// selectors stream their runs (never inflated to words), dense ones
-  /// take the hierarchical path. Output is bit-identical to both.
-  void Multiply(const CandidateSet& x, BitVector* out) const;
-
   /// Column-range-restricted product: writes the bits of x *b this that
   /// fall in [col_begin, col_end) into the matching positions of `out`
   /// (sized cols()), leaving every other *word* of `out` untouched.
@@ -103,23 +97,11 @@ class BitMatrix {
                      BitVector* out) const;
   void MultiplyRange(const HierarchicalBitVector& x, size_t col_begin,
                      size_t col_end, BitVector* out) const;
-  void MultiplyRange(const CandidateSet& x, size_t col_begin, size_t col_end,
-                     BitVector* out) const;
 
   /// True iff row r and the dense vector y share a set bit; this is the
   /// single-pair existence check of Eq. (4), used for column-wise evaluation
   /// and by the baseline algorithms.
   bool RowIntersects(size_t r, const BitVector& y) const;
-
-  /// RowIntersects for any selector exposing Test(size_t) — the chi sets
-  /// behind the CandidateSet layer in particular.
-  template <typename SetT>
-  bool RowIntersectsAny(size_t r, const SetT& y) const {
-    for (uint32_t c : Row(r)) {
-      if (y.Test(c)) return true;
-    }
-    return false;
-  }
 
   /// Dense summary with bit r set iff row r is non-empty. For a forward
   /// matrix F_a this is the vector f^a of Eq. (13).

@@ -44,8 +44,8 @@ class CountedAccumulator {
   /// the nnz of the selected rows plus clearing the *previous* product's
   /// columns (counts is zero wherever the product bit is clear — a class
   /// invariant — so a full O(cols) wipe is only ever paid on first use).
-  /// `SelT` is BitVector, HierarchicalBitVector, or CandidateSet
-  /// (anything with Count/ForEachSetBit/Test over row indices).
+  /// `SelT` is BitVector or HierarchicalBitVector (anything with
+  /// Count/ForEachSetBit/Test over row indices).
   template <typename SelT>
   void Rebuild(const BitMatrix& a, const SelT& selected) {
     if (counts16_.size() != a.cols()) {

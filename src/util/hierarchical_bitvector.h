@@ -12,6 +12,8 @@ namespace sparqlsim::util {
 
 /// A BitVector with one extra summary level: one bit per block of 64
 /// words (4096 payload bits), set iff the block contains any set bit.
+/// This is the solver's candidate-set store: every chi(v) is one
+/// HierarchicalBitVector for the whole fixpoint.
 ///
 /// Candidate sets chi(v) shrink monotonically during the SOI fixpoint
 /// (Sect. 3.2 of the paper), so by the late rounds a full-universe vector
@@ -20,16 +22,18 @@ namespace sparqlsim::util {
 /// BitMatrix::Multiply — skip whole zero blocks instead of word-scanning
 /// dead memory, turning their cost from O(universe/64) into
 /// O(live blocks). On a 1M-node universe that is 245 summary-guided
-/// blocks instead of 15625 words.
+/// blocks instead of 15625 words. Inside a live block the AND and
+/// popcount run on the runtime-dispatched SIMD word kernels
+/// (util/simd_dispatch.h).
 ///
 /// Invariant: summary bit b is set *iff* block b has a nonzero word
 /// (exact, not conservative), and the underlying BitVector keeps its own
 /// tail invariant (bits at positions >= size() stay zero). The mutator
-/// set is deliberately minimal — Set / SetRange / SetAll / ClearAll /
-/// ClearLive / AndWith plus the recycle helpers ResetForReuse and
-/// AssignFrom — which is everything the solver's monotone-shrink loop
-/// and the scratch-pool recycle path need; there is no single-bit Reset,
-/// whose summary maintenance would need a block rescan.
+/// set is deliberately minimal — Set / SetAll / ClearAll / ClearLive /
+/// AndWith plus the recycle helpers ResetForReuse and AssignFrom — which
+/// is everything the solver's monotone-shrink loop and the scratch-pool
+/// recycle path need; there is no single-bit Reset, whose summary
+/// maintenance would need a block rescan.
 ///
 /// `blocks_skipped()` counts the zero blocks the AndWith kernels skipped.
 /// Only AndWith counts (the solver calls it single-threaded, in the
@@ -70,11 +74,6 @@ class HierarchicalBitVector {
   /// drained vector pays O(live blocks) instead of O(universe/64). The
   /// payload words actually zeroed are added to words_cleared().
   void ClearLive();
-
-  /// Sets the `len` bits starting at `begin` and marks the touched blocks
-  /// live. Word-filled like BitVector::SetRange; the run materialization
-  /// path when refilling a recycled dense payload from a gap encoding.
-  void SetRange(size_t begin, size_t len);
 
   /// Reshapes to an all-zero vector of `num_bits`, reusing the existing
   /// word storage: same-size vectors pay only a ClearLive, resizes keep

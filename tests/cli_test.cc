@@ -125,6 +125,19 @@ TEST_F(CliTest, BadInputsFailCleanly) {
   EXPECT_NE(code, 0);
   RunCommand(std::string(SPARQLSIM_CLI) + " frobnicate " + NtPath(), &code);
   EXPECT_NE(code, 0);
+  // A resident budget that is not a number, or whose byte count would
+  // wrap (2^44 + 1 MiB shifts to a 1 MiB budget), is rejected from the
+  // flag and from the environment alike.
+  for (const char* bad : {"abc", "12abc", "17592186044417"}) {
+    RunCommand(std::string(SPARQLSIM_CLI) + " --resident-mb " + bad +
+                   " stats " + NtPath(),
+               &code);
+    EXPECT_NE(code, 0) << "--resident-mb " << bad;
+    RunCommand(std::string("SPARQLSIM_RESIDENT_MB=") + bad + " " +
+                   SPARQLSIM_CLI + " stats " + NtPath(),
+               &code);
+    EXPECT_NE(code, 0) << "SPARQLSIM_RESIDENT_MB=" << bad;
+  }
 }
 
 }  // namespace

@@ -340,14 +340,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheConsistency,
                          ::testing::Range<uint64_t>(1, 9));
 
 // ---------------------------------------------------------------------------
-// Kernel-mode property: the candidate-set representation switch must be
-// invisible to pruning — every kernel mode, thread count, and incremental
-// setting produces the same PruneReport on the same random queries.
+// Solver-axis property: thread count and incremental evaluation must be
+// invisible to pruning — every combination produces the same PruneReport
+// on the same random queries.
 // ---------------------------------------------------------------------------
 
-class KernelModeConsistency : public ::testing::TestWithParam<uint64_t> {};
+class SolverAxisConsistency : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(KernelModeConsistency, PruningAgreesAcrossKernelModes) {
+TEST_P(SolverAxisConsistency, PruningAgreesAcrossThreadsAndIncremental) {
   const uint64_t seed = GetParam();
   util::Rng rng(seed * 277 + 11);
 
@@ -366,10 +366,8 @@ TEST_P(KernelModeConsistency, PruningAgreesAcrossKernelModes) {
     pool.push_back(std::move(parsed).value());
   }
 
-  auto options = [](sim::SolverOptions::KernelMode kernel, size_t threads,
-                    bool incremental) {
+  auto options = [](size_t threads, bool incremental) {
     sim::SolverOptions o;
-    o.kernel_mode = kernel;
     o.num_threads = threads;
     o.incremental_eval = incremental;
     o.cache_sois = false;  // differential runs must actually solve
@@ -377,29 +375,22 @@ TEST_P(KernelModeConsistency, PruningAgreesAcrossKernelModes) {
     return o;
   };
 
-  sim::SimEngine reference(
-      &db, options(sim::SolverOptions::KernelMode::kDense, 1, false));
-  for (auto kernel : {sim::SolverOptions::KernelMode::kAuto,
-                      sim::SolverOptions::KernelMode::kDense,
-                      sim::SolverOptions::KernelMode::kCompressed}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (bool incremental : {false, true}) {
-        sim::SimEngine engine(&db, options(kernel, threads, incremental));
-        for (size_t q = 0; q < pool.size(); ++q) {
-          ExpectSamePrune(
-              engine.Prune(pool[q]), reference.Prune(pool[q]),
-              "seed " + std::to_string(seed) + " kernel " +
-                  std::to_string(static_cast<int>(kernel)) + " threads " +
-                  std::to_string(threads) + " inc " +
-                  std::to_string(incremental) + " query " +
-                  std::to_string(q));
-        }
+  sim::SimEngine reference(&db, options(1, false));
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (bool incremental : {false, true}) {
+      sim::SimEngine engine(&db, options(threads, incremental));
+      for (size_t q = 0; q < pool.size(); ++q) {
+        ExpectSamePrune(engine.Prune(pool[q]), reference.Prune(pool[q]),
+                        "seed " + std::to_string(seed) + " threads " +
+                            std::to_string(threads) + " inc " +
+                            std::to_string(incremental) + " query " +
+                            std::to_string(q));
       }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, KernelModeConsistency,
+INSTANTIATE_TEST_SUITE_P(Seeds, SolverAxisConsistency,
                          ::testing::Range<uint64_t>(1, 5));
 
 }  // namespace

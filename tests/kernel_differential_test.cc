@@ -1,10 +1,10 @@
-// Randomized differential verification of the kernel/representation
-// layer. The scalar-dense path is the oracle; everything else — the AVX2
-// word lanes, the hierarchical dense layout, and the GAP/RLE-compressed
-// layout — must reproduce it bit for bit on AndWith / Count /
-// ForEachSetBit / Multiply, across occupancies from empty to full and
-// sizes straddling the word and 64-word-block edges. Every randomized
-// case derives its seed deterministically and logs it through
+// Randomized differential verification of the candidate-set kernels. The
+// flat BitVector is the oracle; the AVX2 word lanes and the
+// HierarchicalBitVector that carries every chi(v) through the solve must
+// reproduce it bit for bit on AndWith / Count / ForEachSetBit / Test /
+// AndNotWith deltas / Multiply, across occupancies from empty to full
+// and sizes straddling the word and 64-word-block edges. Every
+// randomized case derives its seed deterministically and logs it through
 // SCOPED_TRACE, so a failure names the exact reproducing input.
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 
 #include "util/bitmatrix.h"
 #include "util/bitvector.h"
-#include "util/candidate_set.h"
 #include "util/counted_accumulator.h"
 #include "util/hierarchical_bitvector.h"
 #include "util/rng.h"
@@ -34,10 +33,6 @@ const size_t kBitSizes[] = {1,    63,   64,   65,   127,  128,  129,
 // Densities the solver actually visits: empty, late-fixpoint sparse,
 // balanced, full.
 const double kDensities[] = {0.0, 0.004, 0.1, 0.5, 1.0};
-
-const CandidateSet::Policy kPolicies[] = {CandidateSet::Policy::kAuto,
-                                          CandidateSet::Policy::kDense,
-                                          CandidateSet::Policy::kCompressed};
 
 // splitmix-style deterministic per-case seed; logged on failure.
 uint64_t CaseSeed(uint64_t a, uint64_t b, uint64_t c) {
@@ -57,22 +52,10 @@ BitVector RandomVector(Rng* rng, size_t n, double density) {
   return v;
 }
 
-std::vector<uint32_t> Collect(const CandidateSet& s) {
+std::vector<uint32_t> Collect(const HierarchicalBitVector& s) {
   std::vector<uint32_t> out;
   s.ForEachSetBit([&](uint32_t i) { out.push_back(i); });
   return out;
-}
-
-const char* PolicyName(CandidateSet::Policy p) {
-  switch (p) {
-    case CandidateSet::Policy::kAuto:
-      return "auto";
-    case CandidateSet::Policy::kDense:
-      return "dense";
-    case CandidateSet::Policy::kCompressed:
-      return "compressed";
-  }
-  return "?";
 }
 
 // --- Word-kernel lane differential: scalar vs AVX2 tables. ---
@@ -135,9 +118,9 @@ TEST(KernelDifferentialTest, PopcountWordsAgreesAcrossLanes) {
   }
 }
 
-// --- Representation differential: CandidateSet vs the flat oracle. ---
+// --- Hierarchical differential: HierarchicalBitVector vs the flat oracle.
 
-TEST(KernelDifferentialTest, AndCountForEachAgreeAcrossRepresentations) {
+TEST(KernelDifferentialTest, HierarchicalAgreesWithFlatOracle) {
   for (size_t n : kBitSizes) {
     for (double density : kDensities) {
       for (int rep = 0; rep < 2; ++rep) {
@@ -151,21 +134,32 @@ TEST(KernelDifferentialTest, AndCountForEachAgreeAcrossRepresentations) {
 
         BitVector oracle = v;
         const bool oracle_changed = oracle.AndWith(m);
-        const std::vector<uint32_t> oracle_bits = oracle.ToIndexVector();
 
-        for (CandidateSet::Policy policy : kPolicies) {
-          SCOPED_TRACE(PolicyName(policy));
-          CandidateSet set(v, policy);
-          EXPECT_EQ(set.Count(), v.Count());
-          EXPECT_EQ(set.AndWith(m), oracle_changed);
-          EXPECT_EQ(set.Count(), oracle.Count());
-          EXPECT_EQ(set.Any(), oracle.Any());
-          EXPECT_EQ(set.ToBitVector(), oracle);
-          EXPECT_EQ(Collect(set), oracle_bits);
+        // Both AndWith overloads: a flat mask, and a hierarchical one
+        // whose zero blocks drain ours without reading payload.
+        HierarchicalBitVector flat_masked(v);
+        HierarchicalBitVector hier_masked(v);
+        EXPECT_EQ(flat_masked.Count(), v.Count());
+        EXPECT_EQ(flat_masked.AndWith(m), oracle_changed);
+        EXPECT_EQ(hier_masked.AndWith(HierarchicalBitVector(m)),
+                  oracle_changed);
+        for (const HierarchicalBitVector* h : {&flat_masked, &hier_masked}) {
+          EXPECT_EQ(h->Count(), oracle.Count());
+          EXPECT_EQ(h->Any(), oracle.Any());
+          EXPECT_EQ(h->bits(), oracle);
+          EXPECT_EQ(Collect(*h), oracle.ToIndexVector());
           for (int probe = 0; probe < 16; ++probe) {
             const size_t i = rng.NextBounded(n);
-            EXPECT_EQ(set.Test(i), oracle.Test(i)) << "probe " << i;
+            EXPECT_EQ(h->Test(i), oracle.Test(i)) << "probe " << i;
           }
+        }
+
+        // The solver's removal delta — last snapshot minus current chi —
+        // is exactly the bits of v that m cleared.
+        BitVector gone = v;
+        gone.AndNotWith(flat_masked.bits());
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(gone.Test(i), v.Test(i) && !m.Test(i)) << "bit " << i;
         }
       }
     }
@@ -173,8 +167,8 @@ TEST(KernelDifferentialTest, AndCountForEachAgreeAcrossRepresentations) {
 }
 
 TEST(KernelDifferentialTest, RepeatedAndsConvergeIdentically) {
-  // Chains of shrinking ANDs — the solver's actual access pattern — with
-  // auto-policy sets crossing the compression threshold mid-chain.
+  // Chains of shrinking ANDs — the solver's actual access pattern — that
+  // drain blocks one by one until the summary is empty.
   for (size_t n : {513u, 4097u, 8192u}) {
     for (int rep = 0; rep < 4; ++rep) {
       const uint64_t seed = CaseSeed(n, 555, rep);
@@ -182,133 +176,95 @@ TEST(KernelDifferentialTest, RepeatedAndsConvergeIdentically) {
                    std::to_string(seed));
       Rng rng(seed);
       BitVector oracle(n, true);
-      CandidateSet sets[] = {CandidateSet(BitVector(n, true), kPolicies[0]),
-                             CandidateSet(BitVector(n, true), kPolicies[1]),
-                             CandidateSet(BitVector(n, true), kPolicies[2])};
-      // Successively sparser masks force the occupancy through the
-      // auto-compression threshold.
-      for (double density : {0.6, 0.2, 0.02, 0.002}) {
+      HierarchicalBitVector h(n, true);
+      for (double density : {0.6, 0.2, 0.02, 0.002, 0.0}) {
         const BitVector mask = RandomVector(&rng, n, density);
+        const BitVector previous = oracle;
         const bool oracle_changed = oracle.AndWith(mask);
-        for (CandidateSet& set : sets) {
-          SCOPED_TRACE(PolicyName(set.policy()));
-          EXPECT_EQ(set.AndWith(mask), oracle_changed);
-          EXPECT_EQ(set.Count(), oracle.Count());
-          EXPECT_EQ(set.ToBitVector(), oracle);
-        }
+        EXPECT_EQ(h.AndWith(mask), oracle_changed);
+        EXPECT_EQ(h.Count(), oracle.Count());
+        EXPECT_EQ(h.Any(), oracle.Any());
+        EXPECT_EQ(h.bits(), oracle);
+        EXPECT_EQ(Collect(h), oracle.ToIndexVector());
+        // The removal delta the solver's retraction consumes.
+        BitVector gone = previous;
+        gone.AndNotWith(h.bits());
+        EXPECT_EQ(gone.Count() + h.Count(), previous.Count());
+        EXPECT_FALSE(gone.IntersectsWith(oracle));
       }
-      // The auto set must actually have compressed on a shrunken
-      // occupancy (n >= 512 and final density ~0.002 guarantee it unless
-      // the set drained entirely, which stays dense-representable).
-      if (oracle.Any()) {
-        EXPECT_TRUE(sets[0].compressed());
-      }
-      EXPECT_FALSE(sets[1].compressed());
-      EXPECT_TRUE(sets[2].compressed());
+      EXPECT_FALSE(h.Any());
     }
   }
 }
 
-TEST(KernelDifferentialTest, ClearBitsInAgreesAcrossRepresentations) {
-  for (size_t n : {64u, 129u, 4096u, 8193u}) {
+TEST(KernelDifferentialTest, MultiplyAgreesAcrossSelectorLayouts) {
+  for (size_t n : kBitSizes) {
     for (double density : kDensities) {
       const uint64_t seed =
-          CaseSeed(n, static_cast<uint64_t>(density * 1000) + 97, 0);
+          CaseSeed(n, static_cast<uint64_t>(density * 1000) + 13, 0);
       SCOPED_TRACE("n=" + std::to_string(n) + " seed=" +
                    std::to_string(seed));
       Rng rng(seed);
-      const BitVector v = RandomVector(&rng, n, density);
-      const BitVector target = RandomVector(&rng, n, 0.5);
-      BitVector expected = target;
-      expected.AndNotWith(v);
-      for (CandidateSet::Policy policy : kPolicies) {
-        SCOPED_TRACE(PolicyName(policy));
-        const CandidateSet set(v, policy);
-        BitVector got = target;
-        set.ClearBitsIn(&got);
-        EXPECT_EQ(got, expected);
+      std::vector<std::pair<uint32_t, uint32_t>> entries;
+      const size_t nnz = 4 * n;
+      for (size_t e = 0; e < nnz; ++e) {
+        entries.emplace_back(static_cast<uint32_t>(rng.NextBounded(n)),
+                             static_cast<uint32_t>(rng.NextBounded(n)));
       }
+      const BitMatrix a = BitMatrix::Build(n, n, std::move(entries));
+      const BitVector x = RandomVector(&rng, n, density);
+
+      // Oracle: the union of the selected rows, straight from the CSR.
+      BitVector expected(n);
+      x.ForEachSetBit([&](uint32_t r) {
+        for (uint32_t c : a.Row(r)) expected.Set(c);
+      });
+
+      BitVector flat(n);
+      a.Multiply(x, &flat);
+      EXPECT_EQ(flat, expected);
+
+      BitVector via_hier(n);
+      a.Multiply(HierarchicalBitVector(x), &via_hier);
+      EXPECT_EQ(via_hier, expected);
+
+      // The full-width range: the solver's unsharded evaluation shape,
+      // into a dirty destination (only the written words are zeroed).
+      BitVector ranged(n, true);
+      a.MultiplyRange(HierarchicalBitVector(x), 0, n, &ranged);
+      EXPECT_EQ(ranged, expected);
     }
   }
 }
 
-TEST(KernelDifferentialTest, MultiplyAgreesAcrossSelectorRepresentations) {
-  for (size_t n : {65u, 513u, 4097u}) {
-    for (double density : kDensities) {
-      for (int rep = 0; rep < 2; ++rep) {
-        const uint64_t seed =
-            CaseSeed(n, static_cast<uint64_t>(density * 1000) + 13, rep);
-        SCOPED_TRACE("n=" + std::to_string(n) + " seed=" +
-                     std::to_string(seed));
-        Rng rng(seed);
-        std::vector<std::pair<uint32_t, uint32_t>> entries;
-        const size_t nnz = 4 * n;
-        for (size_t e = 0; e < nnz; ++e) {
-          entries.emplace_back(static_cast<uint32_t>(rng.NextBounded(n)),
-                               static_cast<uint32_t>(rng.NextBounded(n)));
-        }
-        const BitMatrix a = BitMatrix::Build(n, n, std::move(entries));
-        const BitVector x = RandomVector(&rng, n, density);
+TEST(KernelDifferentialTest, MutatorsAgreeWithFlatOracle) {
+  for (size_t n : {1u, 64u, 4096u, 5000u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    HierarchicalBitVector h(n);
+    EXPECT_EQ(h.Count(), 0u);
+    EXPECT_FALSE(h.Any());
 
-        BitVector expected(n);
-        a.Multiply(x, &expected);
+    h.SetAll();
+    EXPECT_EQ(h.Count(), n);
+    EXPECT_EQ(h.bits(), BitVector(n, true));
 
-        BitVector via_hier(n);
-        a.Multiply(HierarchicalBitVector(x), &via_hier);
-        EXPECT_EQ(via_hier, expected);
+    h.ClearAll();
+    EXPECT_EQ(h.Count(), 0u);
+    EXPECT_FALSE(h.Any());
+    EXPECT_EQ(h.bits(), BitVector(n));
 
-        for (CandidateSet::Policy policy : kPolicies) {
-          SCOPED_TRACE(PolicyName(policy));
-          BitVector out(n);
-          a.Multiply(CandidateSet(x, policy), &out);
-          EXPECT_EQ(out, expected);
-        }
-      }
+    std::vector<uint32_t> want = {0};
+    if (n > 4096) want.push_back(4096);
+    if (n > 1) want.push_back(static_cast<uint32_t>(n - 1));
+    for (uint32_t i : want) h.Set(i);
+    for (uint32_t i : want) h.Set(i);  // idempotent
+    EXPECT_EQ(h.Count(), want.size());
+    for (uint32_t i : want) EXPECT_TRUE(h.Test(i)) << i;
+    if (n > 2) {
+      EXPECT_FALSE(h.Test(1));
     }
+    EXPECT_EQ(Collect(h), want);
   }
-}
-
-TEST(KernelDifferentialTest, MutatorsAgreeAcrossRepresentations) {
-  for (CandidateSet::Policy policy : kPolicies) {
-    SCOPED_TRACE(PolicyName(policy));
-    const size_t n = 5000;
-    CandidateSet set(n, policy);
-    EXPECT_EQ(set.Count(), 0u);
-    EXPECT_FALSE(set.Any());
-
-    set.SetAll();
-    EXPECT_EQ(set.Count(), n);
-    EXPECT_EQ(set.ToBitVector(), BitVector(n, true));
-
-    set.ClearAll();
-    EXPECT_EQ(set.Count(), 0u);
-    EXPECT_EQ(set.ToBitVector(), BitVector(n));
-
-    set.Set(0);
-    set.Set(4096);
-    set.Set(n - 1);
-    set.Set(4096);  // idempotent
-    EXPECT_EQ(set.Count(), 3u);
-    EXPECT_TRUE(set.Test(0));
-    EXPECT_TRUE(set.Test(4096));
-    EXPECT_TRUE(set.Test(n - 1));
-    EXPECT_FALSE(set.Test(1));
-    EXPECT_EQ(Collect(set),
-              (std::vector<uint32_t>{0, 4096, static_cast<uint32_t>(n - 1)}));
-  }
-}
-
-TEST(KernelDifferentialTest, AutoPolicyHonorsMinimumWidth) {
-  // Below kMinCompressBits a set never compresses, whatever its occupancy.
-  CandidateSet small(CandidateSet::kMinCompressBits - 1,
-                     CandidateSet::Policy::kAuto);
-  small.Set(3);
-  EXPECT_FALSE(small.compressed());
-  // At the threshold width a sufficiently sparse set does.
-  CandidateSet wide(CandidateSet::kMinCompressBits,
-                    CandidateSet::Policy::kAuto);
-  wide.Set(3);
-  EXPECT_TRUE(wide.compressed());
 }
 
 // --- CountedAccumulator 16-bit lanes: exact widening at overflow. ---

@@ -2,7 +2,7 @@
 // opened eagerly, and a v2 file opened lazily (mmap + per-predicate
 // materialization on first touch) must be indistinguishable to the
 // engine: bit-identical solutions, prune reports, and fixpoint
-// trajectories across thread counts, shard counts, and kernel modes.
+// trajectories across thread counts and shard counts.
 // On top of that interchangeability, the suite pins the tier's own
 // contracts: a cold lazy open materializes nothing until a query
 // touches it, untouched predicates stay on disk, the resident-byte
@@ -110,27 +110,21 @@ TEST(OutOfCoreDifferentialTest, BackingNeverChangesSolveResults) {
   for (Variant& variant : variants) {
     for (size_t threads : {size_t{1}, size_t{8}}) {
       for (size_t shards : {size_t{1}, size_t{4}}) {
-        for (auto kernel : {SolverOptions::KernelMode::kAuto,
-                            SolverOptions::KernelMode::kDense,
-                            SolverOptions::KernelMode::kCompressed}) {
-          SolverOptions options;
-          options.num_threads = threads;
-          options.num_shards = shards;
-          options.kernel_mode = kernel;
-          SimEngine engine(&variant.db, options);
-          Solution solution = engine.Solve(soi);
-          const std::string context =
-              std::string(variant.name) + ", " + std::to_string(threads) +
-              " threads, " + std::to_string(shards) + " shards, kernel " +
-              std::to_string(static_cast<int>(kernel));
-          ASSERT_EQ(solution.candidates.size(), reference.candidates.size())
-              << context;
-          for (size_t v = 0; v < reference.candidates.size(); ++v) {
-            EXPECT_EQ(solution.candidates[v], reference.candidates[v])
-                << context << ", var " << v;
-          }
-          ExpectSameTrajectory(solution.stats, reference.stats, context);
+        SolverOptions options;
+        options.num_threads = threads;
+        options.num_shards = shards;
+        SimEngine engine(&variant.db, options);
+        Solution solution = engine.Solve(soi);
+        const std::string context =
+            std::string(variant.name) + ", " + std::to_string(threads) +
+            " threads, " + std::to_string(shards) + " shards";
+        ASSERT_EQ(solution.candidates.size(), reference.candidates.size())
+            << context;
+        for (size_t v = 0; v < reference.candidates.size(); ++v) {
+          EXPECT_EQ(solution.candidates[v], reference.candidates[v])
+              << context << ", var " << v;
         }
+        ExpectSameTrajectory(solution.stats, reference.stats, context);
       }
     }
   }

@@ -1,11 +1,11 @@
 // The scratch-pool contract, three layers deep:
 //
-//  * util: summary-guided sparse clearing (HierarchicalBitVector::ClearLive,
-//    BitVector::ClearRange) and CandidateSet recycling (ResetForReuse /
-//    ResetTo) are observationally identical to fresh construction;
+//  * util: summary-guided sparse clearing (HierarchicalBitVector::ClearLive)
+//    and candidate-set recycling (ResetForReuse / AssignFrom) are
+//    observationally identical to fresh construction;
 //  * solver: pooled and unpooled solves are bit-identical — solutions,
-//    PruneReports, and fixpoint trajectories — across threads x kernels x
-//    shards, for one-shot, warm-started, and standing-query solves;
+//    PruneReports, and fixpoint trajectories — across threads x shards,
+//    for one-shot, warm-started, and standing-query solves;
 //  * serving: a warmed SimEngine/QueryService reaches the zero-allocation
 //    steady state (scratch_allocs flat, every checkout a reuse), including
 //    under concurrent submission (this suite runs in the TSan CI leg).
@@ -33,7 +33,6 @@
 #include "sparql/normalize.h"
 #include "sparql/parser.h"
 #include "util/bitvector.h"
-#include "util/candidate_set.h"
 #include "util/hierarchical_bitvector.h"
 #include "util/rng.h"
 
@@ -41,7 +40,6 @@ namespace sparqlsim::sim {
 namespace {
 
 using util::BitVector;
-using util::CandidateSet;
 using util::HierarchicalBitVector;
 
 sparql::Query ParseQuery(const std::string& text) {
@@ -61,21 +59,6 @@ BitVector RandomVector(util::Rng* rng, size_t n, double density) {
 // ---------------------------------------------------------------------------
 // util layer: sparse clearing and recycling primitives
 // ---------------------------------------------------------------------------
-
-TEST(SparseClearTest, ClearRangeMatchesBitwiseReset) {
-  util::Rng rng(11);
-  for (size_t n : {1u, 63u, 64u, 65u, 130u, 4096u, 4100u}) {
-    for (int rep = 0; rep < 8; ++rep) {
-      BitVector v = RandomVector(&rng, n, 0.5);
-      const size_t begin = rng.NextBounded(n);
-      const size_t len = rng.NextBounded(n - begin + 1);
-      BitVector want = v;
-      for (size_t i = begin; i < begin + len; ++i) want.Reset(i);
-      v.ClearRange(begin, len);
-      EXPECT_EQ(v, want) << "n=" << n << " begin=" << begin << " len=" << len;
-    }
-  }
-}
 
 TEST(SparseClearTest, ClearLiveEqualsClearAllAndCountsWords) {
   util::Rng rng(13);
@@ -102,58 +85,48 @@ TEST(SparseClearTest, ClearLiveEqualsClearAllAndCountsWords) {
   }
 }
 
-TEST(SparseClearTest, ResetForReuseIsObservationallyAFreshSet) {
+TEST(SparseClearTest, RecycledVectorsAreObservationallyFresh) {
   util::Rng rng(17);
-  const CandidateSet::Policy kPolicies[] = {CandidateSet::Policy::kAuto,
-                                            CandidateSet::Policy::kDense,
-                                            CandidateSet::Policy::kCompressed};
-  for (auto old_policy : kPolicies) {
-    for (auto new_policy : kPolicies) {
-      for (size_t old_n : {600u, 4200u}) {
-        for (size_t new_n : {600u, 4200u}) {
-          // Dirty a set (dense or compressed, depending on policy and
-          // occupancy), then recycle it under a possibly different shape.
-          CandidateSet used(old_n, old_policy);
-          RandomVector(&rng, old_n, 0.01).ForEachSetBit([&](uint32_t i) {
-            used.Set(i);
-          });
-          used.AndWith(RandomVector(&rng, old_n, 0.5));
-          used.ResetForReuse(new_n, new_policy);
+  for (size_t old_n : {600u, 4200u}) {
+    for (size_t new_n : {600u, 4200u}) {
+      // Dirty a vector, then recycle it under a possibly different width:
+      // ResetForReuse must equal a fresh all-zero vector, AssignFrom a
+      // fresh copy of its source.
+      HierarchicalBitVector used(old_n);
+      RandomVector(&rng, old_n, 0.01).ForEachSetBit([&](uint32_t i) {
+        used.Set(i);
+      });
+      used.AndWith(RandomVector(&rng, old_n, 0.5));
+      used.ResetForReuse(new_n);
 
-          CandidateSet fresh(new_n, new_policy);
-          EXPECT_EQ(used.size(), fresh.size());
-          EXPECT_EQ(used.Count(), 0u);
-          EXPECT_EQ(used.compressed(), fresh.compressed());
+      HierarchicalBitVector fresh(new_n);
+      EXPECT_EQ(used.size(), fresh.size());
+      EXPECT_EQ(used.Count(), 0u);
+      EXPECT_FALSE(used.Any());
+      EXPECT_EQ(used.bits(), fresh.bits());
 
-          // Drive both through the same mutation sequence: every
-          // observable (count, membership, layout) must stay equal.
-          BitVector mask = RandomVector(&rng, new_n, 0.3);
-          used.SetAll();
-          fresh.SetAll();
-          EXPECT_EQ(used.AndWith(mask), fresh.AndWith(mask));
-          EXPECT_EQ(used.Count(), fresh.Count());
-          EXPECT_EQ(used.compressed(), fresh.compressed());
-          EXPECT_EQ(used.ToBitVector(), fresh.ToBitVector());
-        }
+      // Drive both through the same mutation sequence: every observable
+      // (count, membership, change signal) must stay equal.
+      const BitVector mask = RandomVector(&rng, new_n, 0.3);
+      used.SetAll();
+      fresh.SetAll();
+      EXPECT_EQ(used.AndWith(mask), fresh.AndWith(mask));
+      EXPECT_EQ(used.Count(), fresh.Count());
+      EXPECT_EQ(used.bits(), fresh.bits());
+      EXPECT_EQ(used.bits(), mask);
+
+      for (double density : {0.0, 0.004, 0.6}) {
+        const BitVector seed = RandomVector(&rng, new_n, density);
+        used.AssignFrom(seed);
+        const HierarchicalBitVector seeded(seed);
+        EXPECT_EQ(used.Count(), seeded.Count());
+        EXPECT_EQ(used.Any(), seeded.Any());
+        EXPECT_EQ(used.bits(), seed);
+        // The rebuilt summary must be exact: draining through it leaves
+        // nothing behind.
+        used.ClearLive();
+        EXPECT_EQ(used.bits(), BitVector(new_n));
       }
-    }
-  }
-}
-
-TEST(SparseClearTest, ResetToMatchesSeedingConstructor) {
-  util::Rng rng(23);
-  for (auto policy : {CandidateSet::Policy::kAuto,
-                      CandidateSet::Policy::kCompressed}) {
-    for (double density : {0.0, 0.004, 0.6}) {
-      const size_t n = 5000;
-      BitVector seed = RandomVector(&rng, n, density);
-      CandidateSet recycled(n / 2, CandidateSet::Policy::kDense);
-      recycled.SetAll();
-      recycled.ResetTo(seed, policy);
-      CandidateSet fresh(seed, policy);
-      EXPECT_EQ(recycled.Count(), fresh.Count());
-      EXPECT_EQ(recycled.compressed(), fresh.compressed());
-      EXPECT_EQ(recycled.ToBitVector(), fresh.ToBitVector());
     }
   }
 }
@@ -209,36 +182,30 @@ TEST_P(PooledDeterminism, PooledSolvesMatchUnpooledAcrossTheMatrix) {
 
   for (bool pooled : {true, false}) {
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (auto kernel : {SolverOptions::KernelMode::kAuto,
-                          SolverOptions::KernelMode::kDense,
-                          SolverOptions::KernelMode::kCompressed}) {
-        for (size_t shards : {size_t{1}, size_t{4}}) {
-          SolverOptions options;
-          options.num_threads = threads;
-          options.num_shards = shards;
-          options.kernel_mode = kernel;
-          options.reuse_scratch = pooled;
-          SimEngine engine(&db, options);
-          for (int pass = 0; pass < 2; ++pass) {
-            for (size_t q = 0; q < sois.size(); ++q) {
-              const std::string context =
-                  "seed " + std::to_string(seed) +
-                  (pooled ? ", pooled" : ", unpooled") + ", " +
-                  std::to_string(threads) + " threads, " +
-                  std::to_string(shards) + " shards, kernel " +
-                  std::to_string(static_cast<int>(kernel)) + ", pass " +
-                  std::to_string(pass) + ", query " + std::to_string(q);
-              Solution solution = engine.Solve(sois[q]);
-              ASSERT_EQ(solution.candidates.size(),
-                        reference[q].candidates.size())
-                  << context;
-              for (size_t v = 0; v < solution.candidates.size(); ++v) {
-                EXPECT_EQ(solution.candidates[v], reference[q].candidates[v])
-                    << context << ", var " << v;
-              }
-              ExpectSameTrajectory(solution.stats, reference[q].stats,
-                                   context);
+      for (size_t shards : {size_t{1}, size_t{4}}) {
+        SolverOptions options;
+        options.num_threads = threads;
+        options.num_shards = shards;
+        options.reuse_scratch = pooled;
+        SimEngine engine(&db, options);
+        for (int pass = 0; pass < 2; ++pass) {
+          for (size_t q = 0; q < sois.size(); ++q) {
+            const std::string context =
+                "seed " + std::to_string(seed) +
+                (pooled ? ", pooled" : ", unpooled") + ", " +
+                std::to_string(threads) + " threads, " +
+                std::to_string(shards) + " shards, pass " +
+                std::to_string(pass) + ", query " + std::to_string(q);
+            Solution solution = engine.Solve(sois[q]);
+            ASSERT_EQ(solution.candidates.size(),
+                      reference[q].candidates.size())
+                << context;
+            for (size_t v = 0; v < solution.candidates.size(); ++v) {
+              EXPECT_EQ(solution.candidates[v], reference[q].candidates[v])
+                  << context << ", var " << v;
             }
+            ExpectSameTrajectory(solution.stats, reference[q].stats,
+                                 context);
           }
         }
       }

@@ -1,7 +1,7 @@
 // The column-sharding contract: SolveSoi with any SolverOptions::num_shards
 // produces solutions, PruneReports, and fixpoint *trajectories* bit-identical
 // to the 1-shard solve — the same determinism gate the thread-count and
-// kernel-mode differential suites hold. Shard tasks only partition each
+// incremental differential suites hold. Shard tasks only partition each
 // round's data work over word-aligned column ranges; every decision (eval
 // kinds, cost rules, incremental-tier transitions) runs once per inequality
 // regardless of the partition, so nothing semantic may depend on the shard
@@ -20,7 +20,11 @@
 #include "sim/soi.h"
 #include "sim/validate.h"
 #include "sparql/parser.h"
+#include "util/bitmatrix.h"
 #include "util/bitvector.h"
+#include "util/counted_accumulator.h"
+#include "util/hierarchical_bitvector.h"
+#include "util/rng.h"
 
 namespace sparqlsim::sim {
 namespace {
@@ -77,8 +81,97 @@ TEST(ShardPlanTest, ResolvedShardsClampsAndDefaults) {
 }
 
 // ---------------------------------------------------------------------------
+// Range kernels: the per-shard pieces put together are the full kernels
+// ---------------------------------------------------------------------------
+
+util::BitVector RandomBits(util::Rng* rng, size_t n, double density) {
+  util::BitVector v(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (rng->NextBool(density)) v.Set(i);
+  }
+  return v;
+}
+
+// Every lane of both accumulators, plus the product vector.
+void ExpectSameCounts(const util::CountedAccumulator& got,
+                      const util::CountedAccumulator& want, size_t cols,
+                      const std::string& context) {
+  EXPECT_EQ(got.result(), want.result()) << context;
+  for (size_t c = 0; c < cols; ++c) {
+    ASSERT_EQ(got.count(c), want.count(c)) << context << ", col " << c;
+  }
+}
+
+// MultiplyRange, RebuildRange and RetractRange over every range of a
+// MakeShardPlan partition must reassemble Multiply, Rebuild and Retract
+// bit for bit, for flat and hierarchical selectors, at word and 4096-bit
+// block edges. Sparse and dense selections take the two sides of the
+// kernels' adaptive row-walk rule.
+TEST(ShardRangeKernelTest, RangesReassembleTheFullKernels) {
+  for (size_t n : {1u, 63u, 64u, 65u, 128u, 129u, 4095u, 4096u, 4097u,
+                   8193u}) {
+    util::Rng rng(n * 131 + 7);
+    std::vector<std::pair<uint32_t, uint32_t>> entries;
+    for (size_t e = 0; e < 4 * n; ++e) {
+      entries.emplace_back(static_cast<uint32_t>(rng.NextBounded(n)),
+                           static_cast<uint32_t>(rng.NextBounded(n)));
+    }
+    const util::BitMatrix a = util::BitMatrix::Build(n, n, std::move(entries));
+    for (double density : {0.01, 0.5}) {
+      const util::BitVector x = RandomBits(&rng, n, density);
+      const util::HierarchicalBitVector hx(x);
+      util::BitVector removed = RandomBits(&rng, n, 0.5);
+      removed.AndWith(x);  // retraction only removes selected rows
+
+      util::BitVector product(n);
+      a.Multiply(x, &product);
+      util::CountedAccumulator full;
+      full.Rebuild(a, x);
+      util::CountedAccumulator retracted = full;
+      const size_t cleared = retracted.Retract(a, removed);
+
+      for (size_t shards : {1u, 2u, 3u, 7u}) {
+        const auto plan = MakeShardPlan(n, shards);
+        for (bool hierarchical : {false, true}) {
+          const std::string context =
+              "n=" + std::to_string(n) + " density=" +
+              std::to_string(density) + " shards=" + std::to_string(shards) +
+              (hierarchical ? " hierarchical" : " flat");
+          // Dirty destination: each range must zero exactly the words it
+          // writes, as the solver's recycled masks rely on.
+          util::BitVector ranged(n, true);
+          // A stale accumulator from another selection: PrepareRebuild
+          // must wipe it before the range fills.
+          util::CountedAccumulator acc;
+          acc.Rebuild(a, removed);
+          acc.PrepareRebuild(n, /*force_wide=*/plan.size() > 1);
+          for (const auto& [begin, end] : plan) {
+            if (hierarchical) {
+              a.MultiplyRange(hx, begin, end, &ranged);
+              acc.RebuildRange(a, hx, begin, end);
+            } else {
+              a.MultiplyRange(x, begin, end, &ranged);
+              acc.RebuildRange(a, x, begin, end);
+            }
+          }
+          EXPECT_EQ(ranged, product) << context;
+          ExpectSameCounts(acc, full, n, context + ", rebuild");
+
+          size_t range_cleared = 0;
+          for (const auto& [begin, end] : plan) {
+            range_cleared += acc.RetractRange(a, removed, begin, end);
+          }
+          EXPECT_EQ(range_cleared, cleared) << context;
+          ExpectSameCounts(acc, retracted, n, context + ", retract");
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Differential suite: solutions + trajectories identical across shard
-// counts, thread counts, kernel modes, and incremental on/off
+// counts, thread counts, and incremental on/off
 // ---------------------------------------------------------------------------
 
 void ExpectSameTrajectory(const SolveStats& actual, const SolveStats& want,
@@ -110,46 +203,39 @@ TEST_P(ShardedDeterminism, RandomSoiSolvesIdenticallyAcrossShardCounts) {
   Soi soi = BuildSoiFromGraph(pattern);
 
   for (bool incremental : {true, false}) {
-    for (auto kernel : {SolverOptions::KernelMode::kAuto,
-                        SolverOptions::KernelMode::kDense,
-                        SolverOptions::KernelMode::kCompressed}) {
-      Solution reference;
-      bool have_reference = false;
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-        for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{7}}) {
-          SolverOptions options;
-          options.num_threads = threads;
-          options.num_shards = shards;
-          options.incremental_eval = incremental;
-          options.kernel_mode = kernel;
-          SimEngine engine(&db, options);
-          Solution solution = engine.Solve(soi);
-          const std::string context =
-              "seed " + std::to_string(seed) + ", " +
-              std::to_string(threads) + " threads, " +
-              std::to_string(shards) + " shards, kernel " +
-              std::to_string(static_cast<int>(kernel)) +
-              (incremental ? ", incremental" : ", full");
-          EXPECT_EQ(solution.stats.shards_used,
-                    options.ResolvedShards(db.NumNodes()))
-              << context;
-          EXPECT_FALSE(solution.truncated) << context;
-          if (!have_reference) {
-            // threads=1, shards=1, first kernel pass: the canonical solve.
-            reference = std::move(solution);
-            have_reference = true;
-            std::string why;
-            EXPECT_TRUE(SatisfiesSoi(soi, db, reference.candidates, &why))
-                << context << ": " << why;
-            continue;
-          }
-          ASSERT_EQ(solution.candidates.size(), reference.candidates.size());
-          for (size_t v = 0; v < reference.candidates.size(); ++v) {
-            EXPECT_EQ(solution.candidates[v], reference.candidates[v])
-                << context << ", var " << v;
-          }
-          ExpectSameTrajectory(solution.stats, reference.stats, context);
+    Solution reference;
+    bool have_reference = false;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{7}}) {
+        SolverOptions options;
+        options.num_threads = threads;
+        options.num_shards = shards;
+        options.incremental_eval = incremental;
+        SimEngine engine(&db, options);
+        Solution solution = engine.Solve(soi);
+        const std::string context =
+            "seed " + std::to_string(seed) + ", " + std::to_string(threads) +
+            " threads, " + std::to_string(shards) + " shards" +
+            (incremental ? ", incremental" : ", full");
+        EXPECT_EQ(solution.stats.shards_used,
+                  options.ResolvedShards(db.NumNodes()))
+            << context;
+        EXPECT_FALSE(solution.truncated) << context;
+        if (!have_reference) {
+          // threads=1, shards=1: the canonical solve.
+          reference = std::move(solution);
+          have_reference = true;
+          std::string why;
+          EXPECT_TRUE(SatisfiesSoi(soi, db, reference.candidates, &why))
+              << context << ": " << why;
+          continue;
         }
+        ASSERT_EQ(solution.candidates.size(), reference.candidates.size());
+        for (size_t v = 0; v < reference.candidates.size(); ++v) {
+          EXPECT_EQ(solution.candidates[v], reference.candidates[v])
+              << context << ", var " << v;
+        }
+        ExpectSameTrajectory(solution.stats, reference.stats, context);
       }
     }
   }

@@ -82,6 +82,13 @@ TEST_P(IncrementalDifferential, RandomSoiBitIdenticalOnVsOffAcrossThreads) {
       EXPECT_EQ(solution.stats.rounds, reference.stats.rounds);
       EXPECT_EQ(solution.stats.evaluations, reference.stats.evaluations);
       EXPECT_EQ(solution.stats.updates, reference.stats.updates);
+      // Delta evaluations only ever replace row-wise ones: the eval-kind
+      // split of the full-evaluation reference is preserved.
+      EXPECT_EQ(solution.stats.row_evals + solution.stats.col_evals +
+                    solution.stats.delta_evals,
+                reference.stats.row_evals + reference.stats.col_evals)
+          << "seed " << seed << ", threads " << threads << ", incremental "
+          << incremental;
     }
   }
 }
@@ -192,161 +199,6 @@ TEST(IncrementalRestrictedSolves, InitialAssignmentRespected) {
   }
   EXPECT_EQ(on.stats.rounds, off.stats.rounds);
   EXPECT_EQ(on.stats.updates, off.stats.updates);
-}
-
-// --- Kernel-mode axis: the candidate-set representation switch
-// (SolverOptions::kernel_mode) composes with the incremental and thread
-// axes. The dense mode is the oracle; auto and compressed must reproduce
-// its solutions AND its semantic trajectory (rounds, evaluations,
-// updates, eval-kind splits) exactly. Only the representation counters
-// (compressed_ops, repr_*, blocks_skipped) may differ across modes. ---
-
-SolverOptions MakeKernelOptions(SolverOptions::KernelMode kernel,
-                                bool incremental, size_t threads) {
-  SolverOptions options = MakeOptions(incremental, threads);
-  options.kernel_mode = kernel;
-  return options;
-}
-
-class KernelModeDifferential : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(KernelModeDifferential, SolutionsAndTrajectoriesBitIdentical) {
-  const uint64_t seed = GetParam();
-  datagen::RandomGraphConfig config;
-  config.num_nodes = 140;
-  config.num_edges = 520;
-  config.num_labels = 3;
-  config.seed = seed;
-  graph::GraphDatabase db = datagen::MakeRandomDatabase(config);
-  graph::Graph pattern = datagen::MakeRandomPattern(6, 4, 3, seed + 500);
-  Soi soi = BuildSoiFromGraph(pattern);
-
-  const SolverOptions ref_options = MakeKernelOptions(
-      SolverOptions::KernelMode::kDense, /*incremental=*/false, 1);
-  Solution reference = SimEngine(&db, ref_options).Solve(soi);
-  std::string why;
-  EXPECT_TRUE(SatisfiesSoi(soi, db, reference.candidates, &why)) << why;
-
-  for (auto kernel : {SolverOptions::KernelMode::kAuto,
-                      SolverOptions::KernelMode::kDense,
-                      SolverOptions::KernelMode::kCompressed}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (bool incremental : {false, true}) {
-        SimEngine engine(&db,
-                         MakeKernelOptions(kernel, incremental, threads));
-        Solution solution = engine.Solve(soi);
-        ExpectCounterAlgebra(solution.stats, incremental);
-        ASSERT_EQ(solution.candidates.size(), reference.candidates.size());
-        for (size_t v = 0; v < reference.candidates.size(); ++v) {
-          ASSERT_EQ(solution.candidates[v], reference.candidates[v])
-              << "seed " << seed << ", kernel " << static_cast<int>(kernel)
-              << ", threads " << threads << ", incremental " << incremental
-              << ", var " << v;
-        }
-        // The representation layer must not perturb what any round
-        // computes: full semantic trajectory, not just the fixpoint.
-        EXPECT_EQ(solution.stats.rounds, reference.stats.rounds);
-        EXPECT_EQ(solution.stats.evaluations, reference.stats.evaluations);
-        EXPECT_EQ(solution.stats.updates, reference.stats.updates);
-        EXPECT_EQ(solution.stats.row_evals + solution.stats.col_evals +
-                      solution.stats.delta_evals,
-                  reference.stats.row_evals + reference.stats.col_evals)
-            << "eval-kind split drifted across representations";
-        if (kernel == SolverOptions::KernelMode::kDense) {
-          EXPECT_EQ(solution.stats.compressed_ops, 0u);
-          EXPECT_EQ(solution.stats.repr_compressions, 0u);
-        }
-      }
-    }
-  }
-}
-
-TEST_P(KernelModeDifferential, PruneReportsIdenticalAcrossKernelModes) {
-  const uint64_t seed = GetParam();
-  datagen::RandomGraphConfig config;
-  config.num_nodes = 90;
-  config.num_edges = 350;
-  config.num_labels = 2;
-  config.seed = seed + 177;
-  graph::GraphDatabase db = datagen::MakeRandomDatabase(config);
-
-  auto parsed = sparql::Parser::Parse(
-      "SELECT * WHERE { { ?x <p0> ?y . ?y <p1> ?z . ?z <p0> ?x . "
-      "OPTIONAL { ?y <p0> ?w . } } UNION { ?a <p1> ?b . ?b <p1> ?a . } }");
-  ASSERT_TRUE(parsed.ok()) << parsed.error_message();
-  sparql::Query query = std::move(parsed).value();
-
-  PruneReport reference =
-      SimEngine(&db, MakeKernelOptions(SolverOptions::KernelMode::kDense,
-                                       true, 1))
-          .Prune(query);
-  for (auto kernel : {SolverOptions::KernelMode::kAuto,
-                      SolverOptions::KernelMode::kCompressed}) {
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      PruneReport got =
-          SimEngine(&db, MakeKernelOptions(kernel, true, threads))
-              .Prune(query);
-      EXPECT_EQ(got.kept_triples, reference.kept_triples) << "seed " << seed;
-      ASSERT_EQ(got.var_candidates.size(), reference.var_candidates.size());
-      for (const auto& [var, bits] : reference.var_candidates) {
-        auto it = got.var_candidates.find(var);
-        ASSERT_NE(it, got.var_candidates.end()) << var;
-        EXPECT_EQ(it->second, bits)
-            << "seed " << seed << ", var " << var << ", kernel "
-            << static_cast<int>(kernel) << ", " << threads << " threads";
-      }
-      EXPECT_EQ(got.stats.rounds, reference.stats.rounds);
-      EXPECT_EQ(got.stats.evaluations, reference.stats.evaluations);
-      EXPECT_EQ(got.stats.updates, reference.stats.updates);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, KernelModeDifferential,
-                         ::testing::Range<uint64_t>(1, 6));  // 5 seeds
-
-// Forced-compressed solves must actually run compressed kernels, and the
-// dense oracle must never touch them — otherwise the axis above would
-// vacuously pass with an inert knob.
-TEST(KernelModeEngagement, CompressedOpsFireUnderForcedCompression) {
-  datagen::RandomGraphConfig config;
-  config.num_nodes = 900;  // wide enough to cross kMinCompressBits
-  config.num_edges = 2600;
-  config.num_labels = 2;
-  config.seed = 9;
-  graph::GraphDatabase db = datagen::MakeRandomDatabase(config);
-
-  size_t compressed_ops = 0, auto_compressions = 0;
-  for (uint64_t pattern_seed = 1; pattern_seed <= 4; ++pattern_seed) {
-    graph::Graph pattern = datagen::MakeRandomPattern(6, 5, 2, pattern_seed);
-    Soi soi = BuildSoiFromGraph(pattern);
-
-    Solution forced =
-        SimEngine(&db, MakeKernelOptions(
-                           SolverOptions::KernelMode::kCompressed, true, 1))
-            .Solve(soi);
-    compressed_ops += forced.stats.compressed_ops;
-
-    Solution dense =
-        SimEngine(&db,
-                  MakeKernelOptions(SolverOptions::KernelMode::kDense, true, 1))
-            .Solve(soi);
-    EXPECT_EQ(dense.stats.compressed_ops, 0u);
-    EXPECT_EQ(dense.stats.repr_compressions, 0u);
-    EXPECT_EQ(dense.stats.repr_decompressions, 0u);
-
-    Solution aut =
-        SimEngine(&db,
-                  MakeKernelOptions(SolverOptions::KernelMode::kAuto, true, 1))
-            .Solve(soi);
-    auto_compressions += aut.stats.repr_compressions;
-  }
-  EXPECT_GT(compressed_ops, 0u)
-      << "forced-compressed solves never ran a compressed kernel";
-  // Pruning workloads collapse candidate sets, so the auto policy should
-  // compress at least some of them across four patterns.
-  EXPECT_GT(auto_compressions, 0u)
-      << "the auto policy never engaged compression on eroding sets";
 }
 
 // On a workload that iterates (a cyclic pattern over the movie graph),

@@ -1,7 +1,7 @@
 // Standing-query maintenance contract: after every applied delta batch the
 // incrementally maintained solution must be *bit-identical* to a cold
 // solve on the post-delta database — for every escalation policy, thread
-// count, kernel, and shard count. The randomized differential suite below
+// count, and shard count. The randomized differential suite below
 // drives logged seeds through insert-only, delete-only, mixed, and
 // no-op/duplicate batches (UNION and OPTIONAL patterns included) and
 // checks each maintained report against a cold reference chain; scripted
@@ -36,34 +36,25 @@ sparql::Query ParseQuery(const std::string& text) {
 }
 
 // The full configuration matrix the differential invariant must hold
-// over: threads x kernel x shards. Policies are a separate axis
-// (PolicyAgreement below) so the matrix stays affordable.
+// over: threads x shards. Policies are a separate axis (PolicyAgreement
+// below) so the matrix stays affordable.
 struct MatrixConfig {
   size_t threads;
-  SolverOptions::KernelMode kernel;
   size_t shards;
 };
 
 std::vector<MatrixConfig> FullMatrix() {
   std::vector<MatrixConfig> out;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (auto kernel :
-         {SolverOptions::KernelMode::kAuto, SolverOptions::KernelMode::kDense,
-          SolverOptions::KernelMode::kCompressed}) {
-      for (size_t shards : {size_t{1}, size_t{4}}) {
-        out.push_back({threads, kernel, shards});
-      }
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      out.push_back({threads, shards});
     }
   }
   return out;
 }
 
 std::string Describe(const MatrixConfig& c) {
-  const char* kernel = c.kernel == SolverOptions::KernelMode::kAuto ? "auto"
-                       : c.kernel == SolverOptions::KernelMode::kDense
-                           ? "dense"
-                           : "compressed";
-  return "threads=" + std::to_string(c.threads) + " kernel=" + kernel +
+  return "threads=" + std::to_string(c.threads) +
          " shards=" + std::to_string(c.shards);
 }
 
@@ -220,7 +211,6 @@ TEST_P(StandingDifferentialTest, MaintainedEqualsColdAcrossFullMatrix) {
     for (const MatrixConfig& mc : FullMatrix()) {
       StandingQueryOptions options;
       options.solver.num_threads = mc.threads;
-      options.solver.kernel_mode = mc.kernel;
       options.solver.num_shards = mc.shards;
       options.solver.cache_sois = false;
       options.solver.cache_solutions = false;

@@ -23,8 +23,6 @@
 //                       toggle solve-scratch recycling (on by default;
 //                       bit-identical results either way — the off state
 //                       is the differential oracle's allocation profile)
-//   --kernel MODE       candidate-set representation: auto (default),
-//                       dense, or compressed (bit-identical results)
 //   --shards N          column-shard each fixpoint round into N ranges
 //                       (bit-identical results for every value)
 //   --deadline-ms N     per-query compute budget; expired queries return a
@@ -86,7 +84,6 @@ int Usage() {
       "                       [--cache-capacity N] [--cache|--no-cache]\n"
       "                       [--incremental|--no-incremental]\n"
       "                       [--scratch-pool|--no-scratch-pool]\n"
-      "                       [--kernel auto|dense|compressed]\n"
       "                       [--shards N] [--deadline-ms N]\n"
       "                       [--priority high|low]\n"
       "                       [--repeat K] [--db file.gdb] "
@@ -282,7 +279,7 @@ int Run(int argc, char** argv) {
   size_t deadline_ms = 0;  // 0 = no deadline
   auto default_priority = util::AdmissionGate::Priority::kHigh;
   const char* db_path = nullptr;
-  size_t resident_mb = tools::kResidentMbFromEnv;
+  const char* resident_mb = nullptr;  // --resident-mb text, if given
   bool subscribe = false;
   const char* deltas_path = nullptr;
   std::vector<const char*> args;
@@ -360,7 +357,8 @@ int Run(int argc, char** argv) {
     }
     if (!flag_value(i, "--resident-mb", &value)) return Usage();
     if (value != nullptr) {
-      if (!parse_size(value, &resident_mb)) return Usage();
+      if (!tools::ParseResidentMb(value)) return Usage();
+      resident_mb = value;
       continue;
     }
     if (!flag_value(i, "--deltas", &value)) return Usage();
@@ -394,20 +392,6 @@ int Run(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--no-scratch-pool") == 0) {
       options.solver.reuse_scratch = false;
-      continue;
-    }
-    if (!flag_value(i, "--kernel", &value)) return Usage();
-    if (value != nullptr) {
-      if (std::strcmp(value, "auto") == 0) {
-        options.solver.kernel_mode = sim::SolverOptions::KernelMode::kAuto;
-      } else if (std::strcmp(value, "dense") == 0) {
-        options.solver.kernel_mode = sim::SolverOptions::KernelMode::kDense;
-      } else if (std::strcmp(value, "compressed") == 0) {
-        options.solver.kernel_mode =
-            sim::SolverOptions::KernelMode::kCompressed;
-      } else {
-        return Usage();
-      }
       continue;
     }
     if (std::strncmp(argv[i], "--", 2) == 0) return Usage();

@@ -28,10 +28,6 @@
 //                 Purely an allocation knob: results are bit-identical
 //                 either way. SPARQLSIM_NO_SCRATCH=1 sets the same switch
 //                 from the environment.
-//   --kernel MODE candidate-set representation kernel: auto (occupancy-
-//                 driven GAP/RLE compression with hysteresis, the default),
-//                 dense (always hierarchical word arrays), or compressed
-//                 (always run lists). Bit-identical results in every mode.
 //   --shards N    column-shard each fixpoint round into N word-aligned
 //                 ranges (0 = env default SPARQLSIM_FORCE_SHARDS or 1).
 //                 Bit-identical results for every value.
@@ -48,7 +44,8 @@
 //   --resident-mb M  resident-byte budget in MiB for lazily opened
 //                 SQSIMDB2 databases (0 = unbounded, the default;
 //                 SPARQLSIM_RESIDENT_MB sets the same knob from the
-//                 environment, the flag wins).
+//                 environment, the flag wins). Non-numeric or overflowing
+//                 values are rejected.
 //
 // --deadline-ms/--priority route sim/prune through a sim::QueryService (the
 // serving layer), whose admission and snapshot statistics print afterwards.
@@ -90,8 +87,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: sparqlsim [--threads N] [--cache|--no-cache] "
                "[--cache-capacity N] [--incremental|--no-incremental] "
-               "[--scratch-pool|--no-scratch-pool] "
-               "[--kernel auto|dense|compressed] [--shards N] "
+               "[--scratch-pool|--no-scratch-pool] [--shards N] "
                "[--deadline-ms N] [--priority high|low] "
                "[--db file.gdb] [--resident-mb M] "
                "<stats|query|prune|sim|bench|explain|convert> "
@@ -264,7 +260,7 @@ int Run(int argc, char** argv) {
   sim::SolverOptions options;
   options.num_threads = 0;  // CLI default: all hardware threads
   const char* db_path = nullptr;
-  size_t resident_mb = tools::kResidentMbFromEnv;
+  const char* resident_mb = nullptr;  // --resident-mb text, if given
   size_t deadline_ms = 0;  // 0 = no deadline
   auto priority = util::AdmissionGate::Priority::kHigh;
   bool use_service = false;  // --deadline-ms/--priority route via the service
@@ -304,20 +300,12 @@ int Run(int argc, char** argv) {
     use_service = true;
     return true;
   };
-  auto parse_kernel = [&](const char* text) {
-    if (std::strcmp(text, "auto") == 0) {
-      options.kernel_mode = sim::SolverOptions::KernelMode::kAuto;
-    } else if (std::strcmp(text, "dense") == 0) {
-      options.kernel_mode = sim::SolverOptions::KernelMode::kDense;
-    } else if (std::strcmp(text, "compressed") == 0) {
-      options.kernel_mode = sim::SolverOptions::KernelMode::kCompressed;
-    } else {
-      std::fprintf(stderr,
-                   "invalid --kernel value '%s' "
-                   "(expected auto|dense|compressed)\n",
-                   text);
+  auto parse_resident_mb = [&](const char* text) {
+    if (!tools::ParseResidentMb(text)) {
+      std::fprintf(stderr, "invalid --resident-mb value '%s'\n", text);
       return false;
     }
+    resident_mb = text;
     return true;
   };
   auto parse_capacity = [&](const char* text) {
@@ -349,13 +337,11 @@ int Run(int argc, char** argv) {
       continue;
     }
     if (std::strcmp(argv[i], "--resident-mb") == 0) {
-      if (i + 1 >= argc) return Usage();
-      resident_mb = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (i + 1 >= argc || !parse_resident_mb(argv[++i])) return Usage();
       continue;
     }
     if (std::strncmp(argv[i], "--resident-mb=", 14) == 0) {
-      resident_mb =
-          static_cast<size_t>(std::strtoull(argv[i] + 14, nullptr, 10));
+      if (!parse_resident_mb(argv[i] + 14)) return Usage();
       continue;
     }
     if (std::strcmp(argv[i], "--cache-capacity") == 0) {
@@ -388,14 +374,6 @@ int Run(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--no-incremental") == 0) {
       options.incremental_eval = false;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--kernel") == 0) {
-      if (i + 1 >= argc || !parse_kernel(argv[++i])) return Usage();
-      continue;
-    }
-    if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
-      if (!parse_kernel(argv[i] + 9)) return Usage();
       continue;
     }
     if (std::strcmp(argv[i], "--shards") == 0) {
