@@ -2,8 +2,8 @@
 //   * Eq. (13) summary initialization vs plain Eq. (12),
 //   * sparsity-first inequality ordering on/off,
 //   * row-wise vs column-wise vs dynamic product evaluation,
-//   * delta-driven incremental evaluation on/off (counted accumulators +
-//     hierarchical zero-block skipping vs full re-evaluation each round).
+//   * delta-driven incremental evaluation on/off (snapshot-product
+//     retraction vs full re-evaluation each round).
 // The paper's observation: no single heuristic fits all inputs, but the
 // dynamic default is never far from the best. The incremental pair is the
 // headline comparison of this bench: identical fixpoint trajectory

@@ -1,13 +1,11 @@
 #include "sim/solver.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <numeric>
 
-#include "util/counted_accumulator.h"
 #include "util/hierarchical_bitvector.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -36,31 +34,21 @@ enum class EvalKind : uint8_t {
   kRow,    // mask = chi(rhs) *b A (Eq. 9), computed in full
   kCol,    // mask = chi(lhs) filtered by per-column intersection tests
   kSub,    // mask = chi(rhs) (subordination, Eq. 14/15)
-  kDelta,  // mask = accumulator product after counted retraction of the
-           // rows that left chi(rhs); identical to the kRow mask
+  kDelta,  // mask = snapshot product after retraction of the rows that
+           // left chi(rhs); identical to the kRow mask
 };
 
-/// Per-matrix-inequality incremental state, persistent across rounds.
+/// Per-matrix-inequality incremental state (the snapshot tier),
+/// persistent across rounds.
 ///
-/// Two tiers, both exploiting that candidate sets only ever shrink (the
-/// accumulated removal delta since the last synchronization is exactly
-/// `last_rhs` minus the current chi(rhs), and its *size* is a free count
-/// difference):
-///
-///  * Snapshot tier — every full row-wise evaluation keeps its product
-///    and the selection it was computed from (two bit-vector copies, a
-///    negligible premium over the Multiply itself). A re-evaluation with
-///    a small delta then *retracts*: only columns reachable from removed
-///    rows can leave the product, and each such column is re-checked with
-///    one early-exit cover probe against the current selection (row of
-///    A^T vs chi(rhs)).
-///  * Counted tier — an inequality that demonstrably iterates escalates
-///    to a util::CountedAccumulator, whose per-column cover counts make
-///    every retraction O(1) per touched column (no probes, GQ-Fast-style
-///    counted index). Building counts writes 4 bytes per selected-nnz
-///    entry where a product writes a bit, so the build is only risked on
-///    *collapsed* selections, where it is near-free and every later
-///    retraction is pure profit.
+/// Every full row-wise evaluation keeps its product and the selection it
+/// was computed from (two bit-vector copies, a negligible premium over the
+/// Multiply itself). Candidate sets only ever shrink, so the rows removed
+/// since then are exactly `last_rhs` minus the current chi(rhs), and their
+/// number is a free count difference. A re-evaluation with a small delta
+/// then *retracts*: only columns reachable from removed rows can leave the
+/// product, and each such column is re-checked with one early-exit cover
+/// probe against the current selection (row of A^T vs chi(rhs)).
 ///
 /// State is touched exclusively by the one evaluation task that owns the
 /// inequality in a round (each inequality appears at most once per
@@ -68,80 +56,24 @@ enum class EvalKind : uint8_t {
 /// pure function of the worklist and the round-start assignments, so it
 /// is scheduling-independent too.
 struct IneqState {
-  util::BitVector product;   // snapshot tier: chi(rhs) *b A for last_rhs
-  util::BitVector last_rhs;  // selection both tiers are synchronized to
+  util::BitVector product;   // chi(rhs) *b A for last_rhs
+  util::BitVector last_rhs;  // selection the product is synchronized to
   size_t last_count = 0;     // == last_rhs.Count(), kept for the cost rule
   bool product_valid = false;
-  util::CountedAccumulator acc;  // counted tier (escalation)
-  bool acc_valid = false;
-  /// Delta evaluations this inequality has completed, saturating — past
-  /// retraction is the only reliable predictor of the future retractions
-  /// that amortize the counted build (visit counts are not: for an
-  /// inequality the fixpoint evaluates k times, any visit threshold
-  /// tends to trigger exactly at the k-th, final, visit).
-  uint8_t deltas_done = 0;
 };
 
-/// Escalation gate to the counted tier: at least this many delta
-/// evaluations already performed...
-constexpr uint8_t kAccDeltaThreshold = 2;
-/// ...and a selection collapsed below 1/kAccBuildFraction of the
-/// universe, so the counter-array build premium is negligible.
-constexpr size_t kAccBuildFraction = 8;
-
-/// Snapshot-tier cost asymmetry: a probe retraction pays an early-exit
-/// row scan per touched column where a recompute pays a bit write per
-/// entry, so probing is only chosen for deltas this many times smaller
-/// than the full evaluation (counted-tier decrements are O(1) per column
-/// and keep the plain removed-vs-full comparison).
+/// Retraction cost asymmetry: a probe retraction pays an early-exit row
+/// scan per touched column where a recompute pays a bit write per entry,
+/// so retraction is only chosen for deltas this many times smaller than
+/// the full evaluation.
 constexpr size_t kProbePenalty = 8;
-
-/// What one inequality's shard tasks need from its plan step, beyond the
-/// EvalKind tag: which matrices to read, which chi set is the selection,
-/// and which incremental tier (if any) performs the data work. Written by
-/// plan(k), read by every shard_eval(k, s) of the same round.
-struct SlotPlan {
-  const util::BitMatrix* a = nullptr;
-  const util::BitMatrix* a_t = nullptr;
-  IneqState* st = nullptr;
-  uint32_t rhs = 0;
-  /// kDelta data work: 0 = none (bookkeeping-only sync), 1 = counted
-  /// retraction, 2 = snapshot probe, 3 = accumulator rebuild.
-  uint8_t delta_tier = 0;
-  /// kRow under incremental_eval: copy the finished mask into the
-  /// snapshot-tier product after the shard barrier.
-  bool refresh_product = false;
-};
-
-/// fn(position) for every set bit of v in [begin, end); `begin` must be
-/// word-aligned and `end` word-aligned or == v.size(), so shard tasks may
-/// walk (and Reset bits in) disjoint ranges of one vector concurrently.
-template <typename Fn>
-void ForEachSetBitInRange(const util::BitVector& v, size_t begin, size_t end,
-                          Fn&& fn) {
-  const uint64_t* words = v.words();
-  const size_t word_begin = begin / util::BitVector::kWordBits;
-  const size_t word_end =
-      (end + util::BitVector::kWordBits - 1) / util::BitVector::kWordBits;
-  for (size_t w = word_begin; w < word_end; ++w) {
-    uint64_t bits = words[w];
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      fn(static_cast<uint32_t>(w * util::BitVector::kWordBits + bit));
-    }
-  }
-}
 
 }  // namespace
 
-/// Carried incremental state: the per-inequality tier vector of the last
-/// converged solve plus the shard shape it was built under (accumulator
-/// count lanes are wide iff the solve sharded, so a shard-shape change
-/// invalidates the whole carry).
+/// Carried incremental state: the per-inequality snapshot vector of the
+/// last converged solve.
 struct IncrementalCarry::Impl {
   std::vector<IneqState> states;
-  size_t shards = 1;
 };
 
 IncrementalCarry::IncrementalCarry() = default;
@@ -156,7 +88,7 @@ size_t IncrementalCarry::LiveEntries() const {
   if (impl_ == nullptr) return 0;
   size_t live = 0;
   for (const IneqState& st : impl_->states) {
-    if (st.product_valid || st.acc_valid) ++live;
+    if (st.product_valid) ++live;
   }
   return live;
 }
@@ -188,18 +120,14 @@ struct SolveScratch::Impl {
 
   /// Per-round slot vectors, lazily grown to the widest round seen.
   /// Recycled entries hold stale content by design: every slot a round
-  /// reads is fully written first (plans/kinds/rebuilt per slot in the
-  /// plan step; masks/gone overwritten whole by copy-assign or the
-  /// write-what-you-clear MultiplyRange; cleared_ks zeroed in the plan
-  /// step for kDelta slots).
+  /// reads is written first by that slot's evaluation (masks/gone are
+  /// overwritten whole by copy-assign or by Multiply, which clears its
+  /// output; cleared is zeroed for kDelta slots).
   std::vector<util::BitVector> masks;
   std::vector<EvalKind> kinds;
   std::vector<const util::BitVector*> mask_ptrs;
   std::vector<size_t> cleared;
-  std::vector<uint8_t> rebuilt;
-  std::vector<SlotPlan> plans;
   std::vector<util::BitVector> gone;
-  std::vector<size_t> cleared_ks;
 };
 
 SolveScratch::SolveScratch() : impl_(std::make_unique<Impl>()) {}
@@ -244,57 +172,14 @@ ScratchPool::Stats ScratchPool::stats() const {
 }
 
 bool SolverOptions::EffectiveReuseScratch() const {
-  // Parsed once per process, like SPARQLSIM_FORCE_SHARDS: the env override
-  // lets CI re-run whole suites with recycling force-disabled (the
-  // differential oracle configuration) without touching any options.
+  // Parsed once per process: the env override lets CI re-run whole
+  // suites with recycling force-disabled (the differential oracle
+  // configuration) without touching any options.
   static const bool env_disabled = [] {
     const char* env = std::getenv("SPARQLSIM_NO_SCRATCH");
     return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
   }();
   return reuse_scratch && !env_disabled;
-}
-
-size_t SolverOptions::ResolvedShards(size_t num_columns) const {
-  size_t shards = num_shards;
-  if (shards == 0) {
-    // Default comes from the environment override (CI's shard-determinism
-    // leg re-runs existing suites under SPARQLSIM_FORCE_SHARDS=3), parsed
-    // once; explicit num_shards values are never overridden, so
-    // differential configs stay exact.
-    static const size_t forced = [] {
-      const char* env = std::getenv("SPARQLSIM_FORCE_SHARDS");
-      if (env == nullptr || *env == '\0') return size_t{1};
-      char* end = nullptr;
-      const unsigned long long value = std::strtoull(env, &end, 10);
-      if (end == env || *end != '\0' || value == 0) return size_t{1};
-      return static_cast<size_t>(value);
-    }();
-    shards = forced;
-  }
-  const size_t words =
-      (num_columns + util::BitVector::kWordBits - 1) / util::BitVector::kWordBits;
-  return std::max<size_t>(1, std::min(shards, std::max<size_t>(1, words)));
-}
-
-std::vector<std::pair<uint32_t, uint32_t>> MakeShardPlan(size_t num_columns,
-                                                         size_t num_shards) {
-  const size_t words =
-      (num_columns + util::BitVector::kWordBits - 1) / util::BitVector::kWordBits;
-  const size_t shards =
-      std::max<size_t>(1, std::min(num_shards, std::max<size_t>(1, words)));
-  std::vector<std::pair<uint32_t, uint32_t>> plan;
-  plan.reserve(shards);
-  size_t word_begin = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t count = words / shards + (s < words % shards ? 1 : 0);
-    const size_t begin = word_begin * util::BitVector::kWordBits;
-    const size_t end = std::min(
-        num_columns, (word_begin + count) * util::BitVector::kWordBits);
-    plan.emplace_back(static_cast<uint32_t>(begin),
-                      static_cast<uint32_t>(end));
-    word_begin += count;
-  }
-  return plan;
 }
 
 void SolveStats::Accumulate(const SolveStats& other) {
@@ -306,13 +191,11 @@ void SolveStats::Accumulate(const SolveStats& other) {
   solve_seconds += other.solve_seconds;
   delta_evals += other.delta_evals;
   full_evals += other.full_evals;
-  acc_rebuilds += other.acc_rebuilds;
   cols_cleared += other.cols_cleared;
   blocks_skipped += other.blocks_skipped;
   parallel_rounds += other.parallel_rounds;
   max_round_width = std::max(max_round_width, other.max_round_width);
   threads_used = std::max(threads_used, other.threads_used);
-  shards_used = std::max(shards_used, other.shards_used);
   scratch_reuses += other.scratch_reuses;
   scratch_allocs += other.scratch_allocs;
   bytes_recycled += other.bytes_recycled;
@@ -480,20 +363,19 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   work.queued.Resize(num_ineqs);
   work.queued.ClearAll();
 
-  // Per-matrix-inequality incremental state (accumulator + selection
-  // snapshot); see IneqState. Allocated once, lazily populated — or
-  // adopted from a WarmStart carry, minus the entries the caller declared
-  // stale, so retractions resume from products synchronized during the
-  // previous converged solve of this Soi.
+  // Per-matrix-inequality snapshot state; see IneqState. Allocated once,
+  // lazily populated — or adopted from a WarmStart carry, minus the
+  // entries the caller declared stale, so retractions resume from products
+  // synchronized during the previous converged solve of this Soi.
   //
   // Carry-ownership rule: a solve that may deposit its states into an
   // IncrementalCarry works on a solve-local vector (`owned_states`), never
   // the scratch's slots — the deposit moves the vector out, and a carry
   // holding pointers into pooled scratch would dangle the moment the
   // scratch is recycled by another query. Only carry-free incremental
-  // solves run on S.ineq_state; their recycled entries get every validity
-  // flag reset so stale accumulators/snapshots are rebuilt before first
-  // read (the retained buffers are what makes the reuse pay).
+  // solves run on S.ineq_state; their recycled entries get the validity
+  // flag reset so stale snapshots are rebuilt before first read (the
+  // retained buffers are what makes the reuse pay).
   IncrementalCarry* carry =
       warm != nullptr && options.incremental_eval ? warm->carry : nullptr;
   std::vector<IneqState> owned_states;
@@ -505,11 +387,8 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
       S.ineq_state.resize(num_matrix);
     }
     for (size_t i = 0; i < num_matrix; ++i) {
-      IneqState& st = S.ineq_state[i];
-      st.last_count = 0;
-      st.product_valid = false;
-      st.acc_valid = false;
-      st.deltas_done = 0;
+      S.ineq_state[i].last_count = 0;
+      S.ineq_state[i].product_valid = false;
     }
   }
   std::vector<IneqState>& inc_state =
@@ -521,21 +400,9 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
     warm->carry->Clear();
   }
 
-  // --- Column-shard plan (SolverOptions::num_shards). --------------------
-  // The universe is cut into contiguous word-aligned ranges; each round's
-  // data work fans out as one task per (inequality, shard), every task
-  // writing only its range's words of the shared slots. The *decision*
-  // logic — eval kinds, cost rules, incremental-tier transitions — runs
-  // once per inequality in the plan step regardless of the partition, so
-  // trajectories are bit-identical for any shard count, 1 included (a
-  // 1-shard plan is a single full-universe range through the same code).
-  const std::vector<std::pair<uint32_t, uint32_t>> shard_plan =
-      MakeShardPlan(n, options.ResolvedShards(n));
-  const size_t num_shards = shard_plan.size();
-
   if (carry != nullptr && carry->impl_ != nullptr) {
     IncrementalCarry::Impl& held = *carry->impl_;
-    if (held.states.size() == num_matrix && held.shards == num_shards) {
+    if (held.states.size() == num_matrix) {
       inc_state = std::move(held.states);
       if (warm->carry_invalid != nullptr) {
         for (size_t i = 0; i < num_matrix; ++i) {
@@ -554,23 +421,15 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   // merge below replays the slots in worklist order for a scheduling-
   // independent outcome. `mask_ptrs[k]` designates the mask the merge
   // applies: the slot's own `masks[k]`, or the owning inequality's
-  // accumulator product (stable storage in `inc_state`, untouched during
-  // the merge).
-  // The slot arrays live in the scratch and keep whatever stale content
-  // the previous solve left: every round's plan step rewrites kinds[k],
-  // plans[k], and rebuilt[k] for each live slot before anything reads
-  // them, mask_ptrs[k] is only dereferenced for kinds that just wrote it,
-  // and the mask/gone payloads are fully overwritten by the kernels that
-  // claim them (MultiplyRange zeroes the words it is about to write;
-  // copy-assign overwrites wholesale).
+  // snapshot product (stable storage in `inc_state`, untouched during the
+  // merge). The slot arrays live in the scratch and keep whatever stale
+  // content the previous solve left; eval(k) writes kinds[k] and every
+  // other slot-k field the merge reads before anything reads them.
   std::vector<util::BitVector>& masks = S.masks;
   std::vector<EvalKind>& kinds = S.kinds;
   std::vector<const util::BitVector*>& mask_ptrs = S.mask_ptrs;
   std::vector<size_t>& cleared = S.cleared;  // kDelta-retraction clears
-  std::vector<uint8_t>& rebuilt = S.rebuilt;  // slot rebuilt an accumulator
-  std::vector<SlotPlan>& plans = S.plans;
   std::vector<util::BitVector>& gone = S.gone;  // rows gone from chi(rhs)
-  std::vector<size_t>& cleared_ks = S.cleared_ks;  // (slot, shard) clears
 
   auto on_change = [&](uint32_t var) {
     counts[var] = chi[var].Count();
@@ -582,16 +441,11 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
     }
   };
 
-  // --- Plan step: one task per inequality. --------------------------------
-  // Replays the per-inequality decision logic exactly as the fused
-  // evaluator did (same tags, same counter splits, same incremental-state
-  // evolution), but defers all column-proportional data work to the shard
-  // tasks below. Mutates only slot k and the one IneqState this inequality
-  // owns this round, so plan tasks parallelize like evaluations always did.
-  auto plan = [&](size_t k) {
-    rebuilt[k] = 0;
-    plans[k] = SlotPlan{};
-    SlotPlan& sp = plans[k];
+  // --- Evaluation: one task per unstable inequality. ----------------------
+  // Picks the inequality's strategy and computes its mask. Mutates only
+  // slot k and the one IneqState this inequality owns this round, so the
+  // tasks of a round parallelize with no locking.
+  auto eval = [&](size_t k) {
     const uint32_t idx = work.current[k];
     if (idx >= num_matrix) {
       const Soi::SubIneq& s = soi.sub_ineqs[idx - num_matrix];
@@ -615,9 +469,7 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
         m.forward ? db.Forward(m.predicate) : db.Backward(m.predicate);
     const util::BitMatrix& a_t =
         m.forward ? db.Backward(m.predicate) : db.Forward(m.predicate);
-    sp.a = &a;
-    sp.a_t = &a_t;
-    sp.rhs = m.rhs;
+    const util::HierarchicalBitVector& rhs = chi[m.rhs];
 
     bool row_wise = true;
     switch (options.eval_mode) {
@@ -633,150 +485,65 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
         break;
     }
 
-    if (options.incremental_eval) {
-      IneqState& st = inc_state[idx];
-      sp.st = &st;
-
-      // Cost rule, same flavor as the row/column dynamic rule: retract
-      // iff the rows removed since the sync point are fewer than what the
-      // chosen full strategy would touch. The monotone shrink makes the
-      // removal count an exact count difference — no set difference is
-      // needed to *decide*.
-      if (st.acc_valid || st.product_valid) {
-        const size_t removed = st.last_count - counts[m.rhs];
-        const size_t full_cost = row_wise ? counts[m.rhs] : counts[m.lhs];
-        // Which tier (if any) evaluates this delta: the counted tier
-        // whenever its counts are live; otherwise escalate from the
-        // snapshot tier when the inequality keeps iterating on a
-        // collapsed selection; otherwise probe — but only for deltas
-        // small enough to beat recomputation despite the probe premium.
-        const bool counted_ok = st.acc_valid && removed < full_cost;
-        const bool escalate_ok = !st.acc_valid && removed < full_cost &&
-                                 st.deltas_done >= kAccDeltaThreshold &&
-                                 counts[m.rhs] * kAccBuildFraction < n;
-        const bool probe_ok =
-            !st.acc_valid && !escalate_ok && removed * kProbePenalty < full_cost;
-        if (counted_ok || escalate_ok || probe_ok) {
-          kinds[k] = EvalKind::kDelta;
-          for (size_t s = 0; s < num_shards; ++s) {
-            cleared_ks[k * num_shards + s] = 0;
-          }
-          if (st.deltas_done < kAccDeltaThreshold) ++st.deltas_done;
-          if (escalate_ok) {
-            // Build the cover counts on the current (collapsed)
-            // selection; the build subsumes this retraction and makes
-            // every later one O(1) per column. The serial half
-            // (PrepareRebuild) runs here; the fill is sharded. Multi-shard
-            // rebuilds pin the wide count lanes — see PrepareRebuild.
-            rebuilt[k] = 1;
-            sp.delta_tier = 3;
-            st.acc.PrepareRebuild(a.cols(), /*force_wide=*/num_shards > 1);
-            st.acc_valid = true;
-            st.product_valid = false;
-          } else if (removed != 0) {
-            gone[k] = st.last_rhs;
-            gone[k].AndNotWith(chi[m.rhs].bits());
-            // Counted retraction while the counts are live; otherwise the
-            // snapshot tier: only columns of removed rows can leave the
-            // product, and each is re-checked with one early-exit cover
-            // probe in the shard tasks.
-            sp.delta_tier = st.acc_valid ? 1 : 2;
-          }
-          if (removed != 0 || rebuilt[k]) {
-            st.last_rhs = chi[m.rhs].bits();
-            st.last_count = counts[m.rhs];
-          }
-          // Either tier's product equals chi(rhs) *b A exactly — the same
-          // mask a full kRow evaluation would produce.
-          mask_ptrs[k] = st.acc_valid ? &st.acc.result() : &st.product;
-          return;
+    // Cost rule, same flavor as the row/column dynamic rule: retract iff
+    // the rows removed since the snapshot, times the probe premium, are
+    // fewer than what the chosen full strategy would touch. The monotone
+    // shrink makes the removal count an exact count difference — no set
+    // difference is needed to *decide*.
+    IneqState* st = options.incremental_eval ? &inc_state[idx] : nullptr;
+    if (st != nullptr && st->product_valid) {
+      const size_t removed = st->last_count - counts[m.rhs];
+      const size_t full_cost = row_wise ? counts[m.rhs] : counts[m.lhs];
+      if (removed * kProbePenalty < full_cost) {
+        kinds[k] = EvalKind::kDelta;
+        cleared[k] = 0;
+        if (removed != 0) {
+          // Only columns of removed rows can leave the product; each is
+          // re-checked with one early-exit cover probe.
+          gone[k] = st->last_rhs;
+          gone[k].AndNotWith(rhs.bits());
+          gone[k].ForEachSetBit([&](uint32_t r) {
+            for (uint32_t c : a.Row(r)) {
+              if (st->product.Test(c) && !a_t.RowIntersects(c, rhs.bits())) {
+                st->product.Reset(c);
+                ++cleared[k];
+              }
+            }
+          });
+          st->last_rhs = rhs.bits();
+          st->last_count = counts[m.rhs];
         }
-      }
-
-      if (row_wise) {
-        // Full product; the snapshot tier is refreshed from the finished
-        // mask after the shard barrier (refresh_product) so the next
-        // visit can retract. The copies are a negligible premium over
-        // the Multiply itself, and a stale counted tier is dropped (its
-        // counts no longer match any snapshot we keep).
-        kinds[k] = EvalKind::kRow;
-        masks[k].Resize(n);
-        sp.refresh_product = true;
-        st.last_rhs = chi[m.rhs].bits();
-        st.last_count = counts[m.rhs];
-        st.product_valid = true;
-        st.acc_valid = false;
-        mask_ptrs[k] = &masks[k];
+        // The retracted product equals chi(rhs) *b A exactly — the same
+        // mask a full kRow evaluation would produce.
+        mask_ptrs[k] = &st->product;
         return;
       }
     }
 
+    mask_ptrs[k] = &masks[k];
     if (row_wise) {
       kinds[k] = EvalKind::kRow;
       masks[k].Resize(n);
-      mask_ptrs[k] = &masks[k];
+      a.Multiply(rhs, &masks[k]);
+      if (st != nullptr) {
+        // Refresh the snapshot so the next visit can retract.
+        st->product = masks[k];
+        st->last_rhs = rhs.bits();
+        st->last_count = counts[m.rhs];
+        st->product_valid = true;
+      }
     } else {
       kinds[k] = EvalKind::kCol;
       // Keep candidate j of lhs iff column j of A intersects chi(rhs);
       // column j of A is row j of A^T.
       masks[k] = chi[m.lhs].bits();
-      mask_ptrs[k] = &masks[k];
-    }
-  };
-
-  // --- Data step: one task per (inequality, shard). -----------------------
-  // Pure column-range-restricted data work, driven entirely by the plan:
-  // each task reads round-start state plus its slot's plan and writes only
-  // its own words of the slot's mask / the owning accumulator / the
-  // snapshot product, plus its own cleared_ks counter — disjoint memory
-  // across shards, no synchronization beyond the phase barrier.
-  auto shard_eval = [&](size_t k, size_t s) {
-    const auto [range_begin, range_end] = shard_plan[s];
-    const SlotPlan& sp = plans[k];
-    switch (kinds[k]) {
-      case EvalKind::kRow:
-        sp.a->MultiplyRange(chi[sp.rhs], range_begin, range_end, &masks[k]);
-        break;
-      case EvalKind::kCol:
-        ForEachSetBitInRange(masks[k], range_begin, range_end, [&](uint32_t j) {
-          if (!sp.a_t->RowIntersects(j, chi[sp.rhs].bits())) masks[k].Reset(j);
-        });
-        break;
-      case EvalKind::kDelta: {
-        IneqState& st = *sp.st;
-        if (sp.delta_tier == 3) {
-          st.acc.RebuildRange(*sp.a, chi[sp.rhs], range_begin, range_end);
-        } else if (sp.delta_tier == 1) {
-          cleared_ks[k * num_shards + s] =
-              st.acc.RetractRange(*sp.a, gone[k], range_begin, range_end);
-        } else if (sp.delta_tier == 2) {
-          size_t probe_cleared = 0;
-          gone[k].ForEachSetBit([&](uint32_t r) {
-            const auto row = sp.a->Row(r);
-            auto it = std::lower_bound(row.begin(), row.end(),
-                                       static_cast<uint32_t>(range_begin));
-            for (; it != row.end() && *it < range_end; ++it) {
-              const uint32_t c = *it;
-              if (st.product.Test(c) &&
-                  !sp.a_t->RowIntersects(c, chi[sp.rhs].bits())) {
-                st.product.Reset(c);
-                ++probe_cleared;
-              }
-            }
-          });
-          cleared_ks[k * num_shards + s] = probe_cleared;
-        }
-        break;
-      }
-      case EvalKind::kSkip:
-      case EvalKind::kClear:
-      case EvalKind::kSub:
-        break;  // no data phase
+      chi[m.lhs].ForEachSetBit([&](uint32_t j) {
+        if (!a_t.RowIntersects(j, rhs.bits())) masks[k].Reset(j);
+      });
     }
   };
 
   stats.threads_used = pool != nullptr ? pool->NumThreads() : 1;
-  stats.shards_used = num_shards;
   while (!work.current.empty()) {
     if (options.max_rounds != 0 && stats.rounds >= options.max_rounds) {
       solution.truncated = true;
@@ -798,52 +565,20 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
       kinds.resize(width);
       mask_ptrs.resize(width);
       cleared.resize(width);
-      rebuilt.resize(width);
-      plans.resize(width);
       gone.resize(width);
-    }
-    if (cleared_ks.size() < width * num_shards) {
-      grew = true;
-      cleared_ks.resize(width * num_shards);
     }
 
     // Evaluation phase: chi/counts are read-only until the barrier.
-    if (pool == nullptr || width * num_shards <= 1) {
-      for (size_t k = 0; k < width; ++k) {
-        plan(k);
-        for (size_t s = 0; s < num_shards; ++s) shard_eval(k, s);
-      }
-    } else if (num_shards == 1) {
-      // Unsharded pooled rounds keep the historical one-barrier shape:
-      // plan and data work fused per inequality.
-      if (width > 1) ++stats.parallel_rounds;
-      util::ParallelFor(pool, width, [&](size_t k) {
-        plan(k);
-        shard_eval(k, 0);
-      });
+    if (pool == nullptr || width <= 1) {
+      for (size_t k = 0; k < width; ++k) eval(k);
     } else {
-      // Sharded rounds: plan per inequality, then fan the data work out
-      // as width x shards range tasks. Each phase writes per-task-disjoint
-      // memory; the second phase additionally splits along columns.
-      if (width > 1) ++stats.parallel_rounds;
-      util::ParallelFor(pool, width, plan);
-      util::ParallelFor(pool, width * num_shards, [&](size_t t) {
-        shard_eval(t / num_shards, t % num_shards);
-      });
+      ++stats.parallel_rounds;
+      util::ParallelFor(pool, width, eval);
     }
 
     // Merge phase, single-threaded, in worklist order.
     for (size_t k = 0; k < width; ++k) {
       ++stats.evaluations;
-      if (kinds[k] == EvalKind::kRow && plans[k].refresh_product) {
-        plans[k].st->product = masks[k];
-      }
-      if (kinds[k] == EvalKind::kDelta) {
-        cleared[k] = 0;
-        for (size_t s = 0; s < num_shards; ++s) {
-          cleared[k] += cleared_ks[k * num_shards + s];
-        }
-      }
       const uint32_t idx = work.current[k];
       const uint32_t lhs = idx >= num_matrix
                                ? soi.sub_ineqs[idx - num_matrix].lhs
@@ -874,7 +609,6 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
           break;
         case EvalKind::kDelta:
           ++stats.delta_evals;
-          stats.acc_rebuilds += rebuilt[k];
           stats.cols_cleared += cleared[k];
           changed = chi[lhs].AndWith(*mask_ptrs[k]);
           break;
@@ -898,7 +632,6 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   if (carry != nullptr && !solution.truncated) {
     carry->impl_ = std::make_unique<IncrementalCarry::Impl>();
     carry->impl_->states = std::move(inc_state);
-    carry->impl_->shards = num_shards;
   }
 
   // Export the flat candidate vectors and harvest the skip/clear

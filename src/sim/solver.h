@@ -7,7 +7,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/graph_database.h"
@@ -40,41 +39,19 @@ struct SolverOptions {
   /// Delta-driven incremental re-evaluation of matrix inequalities. The
   /// fixpoint shrinks candidate sets monotonically, so instead of
   /// re-unioning every row selected by chi(rhs) on each re-evaluation, the
-  /// solver keeps a util::CountedAccumulator per inequality (per-column
-  /// cover counts plus the product vector) and, when the removal delta is
-  /// small, decrements counts along only the rows that *left* chi(rhs)
-  /// since the accumulator was last synchronized — work proportional to
-  /// the delta, not to nnz. A cost rule analogous to the row/column
-  /// dynamic rule picks delta vs full evaluation per inequality; results
-  /// are bit-identical either way (the accumulator's product is exactly
-  /// the Eq. (9) union), so this is purely a wall-clock knob, ablatable
-  /// for benchmarks. Accumulators are allocated lazily from an
-  /// inequality's second row-wise evaluation on, so one-shot inequalities
-  /// never pay the O(cols) counter memory.
+  /// solver keeps each inequality's last row-wise product and, when the
+  /// removal delta is small, retracts from it only the columns reachable
+  /// from rows that *left* chi(rhs) since the product was taken, each
+  /// re-checked by one early-exit cover probe — work proportional to the
+  /// delta, not to nnz. A cost rule analogous to the row/column dynamic
+  /// rule picks delta vs full evaluation per inequality; results are
+  /// bit-identical either way (the retracted product is exactly the
+  /// Eq. (9) union), so this is purely a wall-clock knob, and off is the
+  /// differential oracle.
   bool incremental_eval = true;
 
   /// Safety valve for experiments; 0 means no limit.
   size_t max_rounds = 0;
-
-  /// Column-range sharding of the evaluation phase: the node universe is
-  /// partitioned into this many contiguous word-aligned column ranges
-  /// (MakeShardPlan) and every inequality's mask is computed as one task
-  /// per (inequality, shard) — each shard solves the system restricted to
-  /// its candidate columns, writing only its own words of the shared mask
-  /// slots. The per-shard results meet at the existing single-writer merge
-  /// point, and because the decision logic (eval kinds, cost rules,
-  /// incremental-tier transitions) runs once per inequality regardless of
-  /// the partition, solutions, fixpoint trajectories, and every semantic
-  /// counter are bit-identical for any shard count — sharding is purely a
-  /// wall-clock knob, like num_threads, but slicing *within* an inequality
-  /// instead of across them (narrow rounds with huge candidate sets is
-  /// exactly where num_threads runs out of work).
-  ///
-  /// 0 means "default": the SPARQLSIM_FORCE_SHARDS environment variable if
-  /// set (CI's shard-determinism leg), else 1. Explicit values are never
-  /// overridden by the environment. ResolvedShards clamps so no shard is
-  /// empty.
-  size_t num_shards = 0;
 
   /// Worker threads for the solving path: per-round parallel inequality
   /// evaluation and (through SimEngine) concurrent union-free branches.
@@ -114,28 +91,14 @@ struct SolverOptions {
   bool reuse_scratch = true;
 
   /// `reuse_scratch` with the SPARQLSIM_NO_SCRATCH override applied (the
-  /// environment is parsed once per process, like SPARQLSIM_FORCE_SHARDS).
+  /// environment is parsed once per process).
   bool EffectiveReuseScratch() const;
 
   /// `num_threads` with the 0-means-hardware convention applied.
   size_t ResolvedThreads() const {
     return util::ThreadPool::ResolveThreadCount(num_threads);
   }
-
-  /// `num_shards` with the 0-means-default convention applied and clamped
-  /// so every shard covers at least one 64-bit word of an `num_columns`
-  /// universe (always >= 1).
-  size_t ResolvedShards(size_t num_columns) const;
 };
-
-/// Contiguous word-aligned [begin, end) column ranges covering
-/// [0, num_columns): every boundary except the last is a multiple of 64,
-/// so ranges touch disjoint words of any output bit-vector and shard
-/// tasks may fill one vector concurrently. At most
-/// ceil(num_columns / 64) non-empty ranges are returned (requesting more
-/// shards yields fewer); num_columns == 0 yields one empty range.
-std::vector<std::pair<uint32_t, uint32_t>> MakeShardPlan(size_t num_columns,
-                                                         size_t num_shards);
 
 /// Per-solve cooperative control, checked at fixpoint round boundaries
 /// (and between union-free branches in SimEngine). Expiry or cancellation
@@ -172,18 +135,14 @@ struct SolveStats {
   double solve_seconds = 0.0;
 
   /// Incremental-evaluation counters (SolverOptions::incremental_eval).
-  /// Every evaluation is either a delta evaluation (counted retraction
-  /// through the per-inequality accumulator) or a full one (row, column,
+  /// Every evaluation is either a delta evaluation (retraction of the
+  /// inequality's snapshot product) or a full one (row, column,
   /// subordination, skip, clear), so
   ///     delta_evals + full_evals == evaluations
   /// holds for every run; with incremental_eval off, delta_evals == 0.
   size_t delta_evals = 0;
   size_t full_evals = 0;
-  /// Accumulator (re)builds — the speculative cost the delta evaluations
-  /// amortize; a build is counted inside the row evaluation that performs
-  /// it.
-  size_t acc_rebuilds = 0;
-  /// Columns cleared by counted retraction (cover count hit zero) — the
+  /// Columns the delta evaluations retracted from their products — the
   /// actual pruning work the deltas performed.
   size_t cols_cleared = 0;
   /// Zero 64-word blocks the hierarchical candidate vectors skipped in
@@ -195,13 +154,9 @@ struct SolveStats {
   /// thread pool, the widest round (unstable inequalities evaluated
   /// together — the available per-round parallelism), and the executor count
   /// the solve ran with (pool workers, or 1 for inline solves).
-  /// `shards_used` is the resolved column-shard count
-  /// (SolverOptions::num_shards); scheduling-dependent like threads_used,
-  /// never part of a trajectory comparison.
   size_t parallel_rounds = 0;
   size_t max_round_width = 0;
   size_t threads_used = 1;
-  size_t shards_used = 1;
 
   /// Scratch-recycling counters (SolverOptions::reuse_scratch).
   /// `scratch_reuses` is 1 when this solve ran entirely on a recycled
@@ -240,8 +195,8 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
                       util::ThreadPool* pool, const SolveControl* control,
                       const WarmStart* warm, SolveScratch* scratch);
 
-/// Opaque per-inequality incremental-solver state (snapshot products,
-/// counted accumulators, and their synchronized selections) carried across
+/// Opaque per-inequality incremental-solver state (snapshot products and
+/// their synchronized selections) carried across
 /// solves of the *same* Soi instance — the state half of standing-query
 /// maintenance (sim::StandingQuery). A solve handed a carry through
 /// WarmStart adopts every entry the caller did not declare stale and, on
@@ -258,10 +213,10 @@ class IncrementalCarry {
   IncrementalCarry(IncrementalCarry&&) noexcept;
   IncrementalCarry& operator=(IncrementalCarry&&) noexcept;
 
-  /// Drops all carried state; the next solve starts with cold tiers.
+  /// Drops all carried state; the next solve starts with no snapshots.
   void Clear();
-  /// Inequalities currently holding a live snapshot product or counted
-  /// accumulator (an engagement gauge for tests and stats).
+  /// Inequalities currently holding a live snapshot product (an
+  /// engagement gauge for tests and stats).
   size_t LiveEntries() const;
 
  private:
@@ -275,13 +230,13 @@ class IncrementalCarry {
 };
 
 /// One recyclable solve workspace: the chi candidate sets, per-inequality
-/// eval masks and plans, the worklist, the incremental IneqState array
-/// (snapshot products, last-rhs vectors, counted accumulators), and the
-/// shard-lane/delta buffers — everything SolveSoiWarm would otherwise
-/// allocate per call. A scratch is keyed by the node-universe width it was
-/// last prepared for: a solve on the same universe recycles every buffer
-/// (wiping them with the summary-guided sparse clears), any other solve
-/// reshapes in place and counts a scratch_alloc. A recycled workspace is
+/// eval masks, the worklist, the incremental IneqState array (snapshot
+/// products and last-rhs vectors), and the delta buffers — everything
+/// SolveSoiWarm would otherwise allocate per call. A scratch is keyed by
+/// the node-universe width it was last prepared for: a solve on the same
+/// universe recycles every buffer (wiping them with the summary-guided
+/// sparse clears), any other solve reshapes in place and counts a
+/// scratch_alloc. A recycled workspace is
 /// observationally indistinguishable from a fresh one — solutions,
 /// PruneReports, and fixpoint trajectories are bit-identical with and
 /// without recycling (the pool differential suites assert exactly that).
@@ -371,9 +326,7 @@ struct WarmStart {
   const std::vector<bool>* armed = nullptr;
   /// Incremental state carried from the previous converged solve of the
   /// same Soi; may be null. Ignored — and cleared — when
-  /// options.incremental_eval is off, and whenever the resolved shard
-  /// count changed since the state was deposited (accumulator count lanes
-  /// are shard-shape-dependent).
+  /// options.incremental_eval is off.
   IncrementalCarry* carry = nullptr;
   /// Per-matrix-inequality staleness for `carry` (sized
   /// matrix_ineqs.size()): true = drop the carried entry — its matrix
@@ -418,7 +371,7 @@ struct Solution {
 /// the calling thread. Because each mask is a pure function of the
 /// round-start state and the merge order never depends on scheduling, the
 /// result is bit-identical for every thread count — and for
-/// `incremental_eval` on vs off, since a delta-maintained accumulator
+/// `incremental_eval` on vs off, since a retracted snapshot product
 /// reproduces exactly the Eq. (9) product a full evaluation would compute
 /// (rounds/evaluations/updates agree too, not just the fixpoint).
 ///

@@ -232,7 +232,7 @@ void StandingQuery::MaintainBranch(BranchState& b,
         armed[i] = true;
         ++armed_count;
       }
-      // A carried product/accumulator retracts soundly iff its matrix is
+      // A carried snapshot product retracts soundly iff its matrix is
       // unchanged and the selection only shrank since the sync point;
       // a cone rhs may exceed it, a merely-touched rhs cannot.
       if (pred_dirty || cone[m.rhs]) carry_invalid[i] = true;

@@ -28,13 +28,13 @@ struct TripleDelta {
 };
 
 struct StandingQueryOptions {
-  /// Per-solve policy (threads, shards, kernels, incremental tiers). The
-  /// cache toggles are ignored — a standing query *is* its own cache: it
-  /// holds the converged solution and incremental state per branch.
+  /// Per-solve policy (threads, incremental evaluation). The cache
+  /// toggles are ignored — a standing query *is* its own cache: it holds
+  /// the converged solution and incremental state per branch.
   SolverOptions solver;
 
   /// Escalation policy seam (the maintenance analogue of the solver's
-  /// kAccDeltaThreshold constants): kAuto applies the cost model below,
+  /// delta-vs-full cost rule): kAuto applies the cost model below,
   /// the forced modes pin the decision for differential tests — results
   /// are bit-identical across all three, only wall-clock and the
   /// maintained/recomputed counters differ.
@@ -74,9 +74,9 @@ struct StandingStats {
   /// strictly less than a full first round" engagement signal.
   size_t armed_ineqs = 0;
   size_t total_ineqs = 0;
-  /// Incremental-state entries (snapshot products / counted accumulators)
-  /// adopted from the carry across warm solves — state actually reused
-  /// across generations, not rebuilt.
+  /// Incremental-state entries (snapshot products) adopted from the carry
+  /// across warm solves — state actually reused across generations, not
+  /// rebuilt.
   size_t carried_entries = 0;
   /// Wall time spent inside Apply/ApplySnapshot (solves + extraction).
   double maintain_seconds = 0.0;
@@ -90,18 +90,17 @@ struct StandingStats {
 /// The standing query pins a GraphDatabase snapshot and holds, per
 /// union-free branch of the query, its SOI, the converged Solution, the
 /// extracted kept-triples, and the solver's IncrementalCarry (snapshot
-/// products + counted accumulators). Apply(delta) — or ApplySnapshot with
-/// a successor version from a COW publish chain — re-converges from that
-/// state:
+/// products). Apply(delta) — or ApplySnapshot with a successor version
+/// from a COW publish chain — re-converges from that state:
 ///
 ///  * the per-predicate dirty set falls out of COW slab identity
 ///    (GraphDatabase::ChangedPredicates — pointer diff is content diff
 ///    along a publish chain);
-///  * deletions retract through the solver's existing per-column
-///    decrement path: the old fixpoint is a sound over-approximation of
-///    the new one, so the warm start begins at the converged assignment
-///    and re-arms only inequalities reading a dirty predicate (plus the
-///    dependents of variables whose summary initialization shrank);
+///  * deletions retract through the solver's snapshot retraction path:
+///    the old fixpoint is a sound over-approximation of the new one, so
+///    the warm start begins at the converged assignment and re-arms only
+///    inequalities reading a dirty predicate (plus the dependents of
+///    variables whose summary initialization shrank);
 ///  * insertions reset the *affected cone* (variables reading a grown
 ///    predicate, closed under inequality reading) to the cold
 ///    initialization — outside the cone the old assignment provably *is*
@@ -112,8 +111,8 @@ struct StandingStats {
 /// Correctness bar (held by tests/standing_query_test.cc): after every
 /// applied delta the maintained solution, kept-triple set, and
 /// per-variable candidates are bit-identical to a cold
-/// SimEngine::Prune on the post-delta snapshot — for every policy,
-/// thread, shard, and kernel configuration.
+/// SimEngine::Prune on the post-delta snapshot — for every policy and
+/// thread count.
 ///
 /// Not thread-safe: one writer at a time (QueryService::Subscribe wraps a
 /// StandingQuery in a mutex and drives it from the publish path).

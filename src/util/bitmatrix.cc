@@ -61,23 +61,6 @@ void BitMatrix::Multiply(const HierarchicalBitVector& x, BitVector* out) const {
   MultiplyImpl(x, out);
 }
 
-void BitMatrix::MultiplyRange(const BitVector& x, size_t col_begin,
-                              size_t col_end, BitVector* out) const {
-  assert(x.size() == rows_);
-  assert(out->size() == cols_);
-  assert(col_begin % BitVector::kWordBits == 0);
-  assert(col_end == cols_ || col_end % BitVector::kWordBits == 0);
-  assert(col_begin <= col_end && col_end <= cols_);
-  MultiplyRangeImpl(x, col_begin, col_end, out);
-}
-
-void BitMatrix::MultiplyRange(const HierarchicalBitVector& x, size_t col_begin,
-                              size_t col_end, BitVector* out) const {
-  assert(x.size() == rows_);
-  assert(out->size() == cols_);
-  MultiplyRangeImpl(x, col_begin, col_end, out);
-}
-
 bool BitMatrix::RowIntersects(size_t r, const BitVector& y) const {
   assert(y.size() == cols_);
   for (uint32_t c : Row(r)) {

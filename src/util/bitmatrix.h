@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -83,21 +82,6 @@ class BitMatrix {
   /// Output is bit-identical to the BitVector overload.
   void Multiply(const HierarchicalBitVector& x, BitVector* out) const;
 
-  /// Column-range-restricted product: writes the bits of x *b this that
-  /// fall in [col_begin, col_end) into the matching positions of `out`
-  /// (sized cols()), leaving every other *word* of `out` untouched.
-  /// `col_begin` must be a multiple of BitVector::kWordBits and `col_end`
-  /// word-aligned or == cols(), so only the words covering the range are
-  /// written — disjoint word-aligned ranges of one output vector may then
-  /// be filled concurrently (the solver's shard lanes do exactly that).
-  /// The union over a partition of [0, cols()) is bit-identical to
-  /// Multiply(); rows exploit the per-row column sort to enter at
-  /// lower_bound(col_begin) instead of scanning from the front.
-  void MultiplyRange(const BitVector& x, size_t col_begin, size_t col_end,
-                     BitVector* out) const;
-  void MultiplyRange(const HierarchicalBitVector& x, size_t col_begin,
-                     size_t col_end, BitVector* out) const;
-
   /// True iff row r and the dense vector y share a set bit; this is the
   /// single-pair existence check of Eq. (4), used for column-wise evaluation
   /// and by the baseline algorithms.
@@ -126,12 +110,8 @@ class BitMatrix {
   /// Instantiated in bitmatrix.cc, where both selector types are complete.
   template <typename SelT>
   void MultiplyImpl(const SelT& x, BitVector* out) const {
-    // The full ClearAll is fine here: every Multiply caller is a cold
-    // path (the solution validator, tests, microbenches). The solver's
-    // hot loop always goes through MultiplyRange — even its unsharded
-    // shape is one full-width range — which zeroes only the words it is
-    // about to write, so recycled scratch masks never pay an
-    // O(universe/64) fill per evaluation.
+    // Clearing first makes a recycled, dirty `out` (the solver's scratch
+    // masks) safe: stale bits never survive into the product.
     out->ClearAll();
     size_t selected = x.Count();
     // Iterate whichever index is smaller: the set bits of x (with a row
@@ -147,39 +127,6 @@ class BitMatrix {
              ++i) {
           out->Set(cols_index_[i]);
         }
-      }
-    }
-  }
-
-  /// Shared body of the MultiplyRange overloads: zeroes the destination
-  /// words covering [col_begin, col_end), then unions the in-range slice
-  /// of every selected row via a per-row lower_bound entry point. Same
-  /// adaptive row-walk rule as MultiplyImpl — deliberately keyed on the
-  /// *whole* selection size, not the per-range share, so every range of a
-  /// partition walks rows the same way and their union replays Multiply
-  /// bit for bit. Zeroing exactly the words it writes (rather than
-  /// ClearAll on the destination) is also what makes recycled scratch
-  /// masks free to reuse: stale content outside the union of ranges is
-  /// never read, stale content inside is overwritten.
-  template <typename SelT>
-  void MultiplyRangeImpl(const SelT& x, size_t col_begin, size_t col_end,
-                         BitVector* out) const {
-    uint64_t* words = out->mutable_words();
-    const size_t word_begin = col_begin / BitVector::kWordBits;
-    const size_t word_end =
-        (col_end + BitVector::kWordBits - 1) / BitVector::kWordBits;
-    for (size_t w = word_begin; w < word_end; ++w) words[w] = 0;
-    auto add_row_range = [&](std::span<const uint32_t> row) {
-      auto it = std::lower_bound(row.begin(), row.end(),
-                                 static_cast<uint32_t>(col_begin));
-      for (; it != row.end() && *it < col_end; ++it) out->Set(*it);
-    };
-    if (x.Count() * 8 < rows_index_.size()) {
-      x.ForEachSetBit([&](uint32_t r) { add_row_range(Row(r)); });
-    } else {
-      for (size_t slot = 0; slot < rows_index_.size(); ++slot) {
-        if (!x.Test(rows_index_[slot])) continue;
-        add_row_range(RowBySlot(slot));
       }
     }
   }

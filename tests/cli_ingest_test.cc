@@ -136,6 +136,43 @@ TEST_F(CliIngestTest, RejectsUsageErrors) {
   EXPECT_EQ(exit_code, 2);
 }
 
+// Numeric flags and arguments must be plain decimal counts: a typo or a
+// trailing suffix used to be read as 0 or as its numeric prefix, and a
+// huge --chunk-mb wrapped into a tiny chunk size — each exiting 0 with
+// output written. Only rejected text is tried here: a large valid
+// --threads value would start that many threads.
+TEST_F(CliIngestTest, RejectsMalformedNumbers) {
+  const char* tiny = "/tmp/sparqlsim_ingest_numbers.nt";
+  const char* out = "/tmp/sparqlsim_ingest_numbers.gdb";
+  {
+    std::ofstream nt(tiny);
+    nt << "<a> <p> <b> .\n";
+  }
+  int exit_code = 0;
+  RunCommand(std::string(SPARQLSIM_INGEST) + " " + tiny + " " + out,
+             &exit_code);
+  ASSERT_EQ(exit_code, 0);  // the input itself is fine
+  for (const char* flags :
+       {"--threads abc", "--threads=", "--threads 2x", "--threads=abc",
+        "--chunk-mb 3abc", "--chunk-mb 0", "--chunk-mb 17592186044417",
+        "--chunk-mb 17592186044416"}) {
+    std::remove(out);
+    RunCommand(std::string(SPARQLSIM_INGEST) + " " + flags + " " + tiny +
+                   " " + out,
+               &exit_code);
+    EXPECT_EQ(exit_code, 2) << flags;
+    EXPECT_FALSE(std::ifstream(out).good()) << flags << " wrote output";
+  }
+
+  for (const char* args : {"lubm abc", "lubm 2x", "lubm 1 abc",
+                           "dbpedia abc", "dbpedia 1 7x"}) {
+    const std::string graph =
+        RunCommand(std::string(SPARQLSIM_DATAGEN) + " " + args, &exit_code);
+    EXPECT_EQ(exit_code, 2) << args;
+    EXPECT_TRUE(graph.empty()) << args << " wrote output";
+  }
+}
+
 // Regression: a truncated .gz (interrupted download, partial copy) must
 // fail the ingest AND leave nothing at the output path — the tmp-file +
 // atomic-rename write means the destination either holds a complete

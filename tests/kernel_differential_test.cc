@@ -16,7 +16,6 @@
 
 #include "util/bitmatrix.h"
 #include "util/bitvector.h"
-#include "util/counted_accumulator.h"
 #include "util/hierarchical_bitvector.h"
 #include "util/rng.h"
 #include "util/simd_dispatch.h"
@@ -228,11 +227,14 @@ TEST(KernelDifferentialTest, MultiplyAgreesAcrossSelectorLayouts) {
       a.Multiply(HierarchicalBitVector(x), &via_hier);
       EXPECT_EQ(via_hier, expected);
 
-      // The full-width range: the solver's unsharded evaluation shape,
-      // into a dirty destination (only the written words are zeroed).
-      BitVector ranged(n, true);
-      a.MultiplyRange(HierarchicalBitVector(x), 0, n, &ranged);
-      EXPECT_EQ(ranged, expected);
+      // A recycled, non-zero destination (the solver's scratch masks keep
+      // the previous product): no stale bit may survive into the result.
+      BitVector recycled_flat(n, true);
+      a.Multiply(x, &recycled_flat);
+      EXPECT_EQ(recycled_flat, expected);
+      BitVector recycled_hier(n, true);
+      a.Multiply(HierarchicalBitVector(x), &recycled_hier);
+      EXPECT_EQ(recycled_hier, expected);
     }
   }
 }
@@ -264,71 +266,6 @@ TEST(KernelDifferentialTest, MutatorsAgreeWithFlatOracle) {
       EXPECT_FALSE(h.Test(1));
     }
     EXPECT_EQ(Collect(h), want);
-  }
-}
-
-// --- CountedAccumulator 16-bit lanes: exact widening at overflow. ---
-
-TEST(KernelDifferentialTest, CountedAccumulatorWidensExactlyAtOverflow) {
-  // 70000 rows all covering column 0 (crossing the uint16 maximum of
-  // 65535), half of them also column 1 (staying narrow-range).
-  const size_t rows = 70000;
-  std::vector<std::pair<uint32_t, uint32_t>> entries;
-  entries.reserve(rows + rows / 2);
-  for (uint32_t r = 0; r < rows; ++r) {
-    entries.emplace_back(r, 0);
-    if (r % 2 == 0) entries.emplace_back(r, 1);
-  }
-  const BitMatrix a = BitMatrix::Build(rows, 8, std::move(entries));
-
-  CountedAccumulator acc;
-  acc.Rebuild(a, BitVector(rows, true));
-  EXPECT_TRUE(acc.wide());
-  EXPECT_EQ(acc.count(0), 70000u);
-  EXPECT_EQ(acc.count(1), 35000u);
-  EXPECT_TRUE(acc.result().Test(0));
-  EXPECT_TRUE(acc.result().Test(1));
-  EXPECT_FALSE(acc.result().Test(2));
-
-  // Retract the first 10000 rows; counts stay exact across the wide lanes.
-  BitVector removed(rows);
-  for (uint32_t r = 0; r < 10000; ++r) removed.Set(r);
-  EXPECT_EQ(acc.Retract(a, removed), 0u);  // nothing drained yet
-  EXPECT_EQ(acc.count(0), 60000u);
-  EXPECT_EQ(acc.count(1), 30000u);
-
-  // Retract everything else: both columns drain, in one call.
-  BitVector rest(rows, true);
-  rest.AndNotWith(removed);
-  EXPECT_EQ(acc.Retract(a, rest), 2u);
-  EXPECT_EQ(acc.count(0), 0u);
-  EXPECT_FALSE(acc.result().Any());
-}
-
-TEST(KernelDifferentialTest, CountedAccumulatorNarrowStaysNarrow) {
-  // A selection that never crosses 65535 keeps the 16-bit lanes, and the
-  // counts match a straightforward recount.
-  Rng rng(CaseSeed(42, 42, 42));
-  const size_t rows = 500, cols = 40;
-  std::vector<std::pair<uint32_t, uint32_t>> entries;
-  for (size_t e = 0; e < 4000; ++e) {
-    entries.emplace_back(static_cast<uint32_t>(rng.NextBounded(rows)),
-                         static_cast<uint32_t>(rng.NextBounded(cols)));
-  }
-  const BitMatrix a = BitMatrix::Build(rows, cols, std::move(entries));
-  const BitVector selected = RandomVector(&rng, rows, 0.7);
-
-  CountedAccumulator acc;
-  acc.Rebuild(a, selected);
-  EXPECT_FALSE(acc.wide());
-
-  std::vector<uint32_t> expected(cols, 0);
-  selected.ForEachSetBit([&](uint32_t r) {
-    for (uint32_t c : a.Row(r)) ++expected[c];
-  });
-  for (size_t c = 0; c < cols; ++c) {
-    EXPECT_EQ(acc.count(c), expected[c]) << "col " << c;
-    EXPECT_EQ(acc.result().Test(c), expected[c] > 0) << "col " << c;
   }
 }
 

@@ -1,9 +1,9 @@
 // Differential property suite for delta-driven incremental evaluation
 // (SolverOptions::incremental_eval): for random databases and patterns,
-// solving with the counted-accumulator delta path must be *bit-identical*
+// solving with the snapshot-retraction delta path must be *bit-identical*
 // to solving with full re-evaluation — same candidate vectors, same
 // fixpoint trajectory (rounds/evaluations/updates) — at every thread
-// count, because a retracted accumulator product is exactly the Eq. (9)
+// count, because a retracted snapshot product is exactly the Eq. (9)
 // union a full evaluation computes. Also pins the counter algebra:
 // delta_evals + full_evals == evaluations, delta_evals == 0 when the
 // knob is off.
@@ -135,7 +135,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDifferential,
 
 // The forced eval-mode ablations must stay differential-clean too: under
 // kRowWise the delta path replaces repeat row evaluations; under
-// kColumnWise no accumulator is ever built and the knob is inert.
+// kColumnWise no snapshot product is ever taken and the knob is inert.
 TEST(IncrementalEvalModes, ForcedModesBitIdenticalAndCountersConsistent) {
   datagen::RandomGraphConfig config;
   config.num_nodes = 130;
@@ -164,7 +164,7 @@ TEST(IncrementalEvalModes, ForcedModesBitIdenticalAndCountersConsistent) {
     EXPECT_EQ(s_on.stats.rounds, s_off.stats.rounds);
     EXPECT_EQ(s_on.stats.updates, s_off.stats.updates);
     if (mode == SolverOptions::EvalMode::kColumnWise) {
-      EXPECT_EQ(s_on.stats.delta_evals, 0u);  // no row path, no accumulator
+      EXPECT_EQ(s_on.stats.delta_evals, 0u);  // no row path, no snapshot
     }
   }
 }

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+
 #include "datagen/movies.h"
 #include "datagen/random_graphs.h"
 #include "sim/equivalence.h"
+#include "sim/sim_engine.h"
 #include "sim/soi.h"
 #include "sim/validate.h"
 #include "sparql/parser.h"
@@ -212,6 +217,62 @@ TEST(EquivalenceTest, SignaturesAreConsistent) {
                           signature.end();
       EXPECT_EQ(s.candidates[v].Test(node), in_signature);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Deadlines: truncation is sound (superset) and flagged
+// ---------------------------------------------------------------------------
+
+TEST(SolveControlTest, CancelledSolveTruncatesToASoundSuperset) {
+  datagen::RandomGraphConfig config;
+  config.num_nodes = 150;
+  config.num_edges = 600;
+  config.num_labels = 3;
+  config.seed = 9;
+  graph::GraphDatabase db = datagen::MakeRandomDatabase(config);
+  graph::Graph pattern = datagen::MakeRandomPattern(6, 4, 3, 77);
+  Soi soi = BuildSoiFromGraph(pattern);
+
+  SimEngine engine(&db, SolverOptions{});
+  Solution full = engine.Solve(soi);
+  ASSERT_FALSE(full.truncated);
+
+  // Pre-cancelled control: the fixpoint stops at the first round boundary.
+  std::atomic<bool> cancel{true};
+  SolveControl control;
+  control.cancel = &cancel;
+  Solution cut = engine.Solve(soi, /*initial=*/nullptr, &control);
+  EXPECT_TRUE(cut.truncated);
+  ASSERT_EQ(cut.candidates.size(), full.candidates.size());
+  for (size_t v = 0; v < full.candidates.size(); ++v) {
+    // Soundness: truncation can only leave extra candidates, never lose one.
+    util::BitVector both = cut.candidates[v];
+    both.AndWith(full.candidates[v]);
+    EXPECT_EQ(both, full.candidates[v]) << "var " << v;
+  }
+}
+
+TEST(SolveControlTest, ExpiredDeadlineMarksPruneReportTruncated) {
+  graph::GraphDatabase db = datagen::MakeMovieDatabase();
+  auto parsed = sparql::Parser::Parse(
+      "SELECT * WHERE { ?m <genre> ?g . ?d <directed> ?m . }");
+  ASSERT_TRUE(parsed.ok()) << parsed.error_message();
+  sparql::Query query = std::move(parsed).value();
+
+  SimEngine engine(&db, SolverOptions{});
+  SolveControl control;
+  control.deadline = std::chrono::steady_clock::now();  // already expired
+  PruneReport report = engine.Prune(query, &control);
+  EXPECT_TRUE(report.truncated);
+
+  PruneReport full = engine.Prune(query);
+  EXPECT_FALSE(full.truncated);
+  // Superset property lifts through triple extraction.
+  for (const graph::Triple& t : full.kept_triples) {
+    EXPECT_TRUE(std::find(report.kept_triples.begin(),
+                          report.kept_triples.end(),
+                          t) != report.kept_triples.end());
   }
 }
 

@@ -1,10 +1,9 @@
 // Standing-query maintenance contract: after every applied delta batch the
 // incrementally maintained solution must be *bit-identical* to a cold
-// solve on the post-delta database — for every escalation policy, thread
-// count, and shard count. The randomized differential suite below
-// drives logged seeds through insert-only, delete-only, mixed, and
-// no-op/duplicate batches (UNION and OPTIONAL patterns included) and
-// checks each maintained report against a cold reference chain; scripted
+// solve on the post-delta database — for every escalation policy and
+// thread count. The randomized differential suite below drives logged
+// seeds through insert-only, delete-only, mixed, and no-op/duplicate
+// batches (UNION and OPTIONAL patterns included) and checks each maintained report against a cold reference chain; scripted
 // tests pin the edge cases (a delta emptying the selection, a delta
 // restoring retracted candidates) and the engagement guards (maintenance
 // must actually do less work than a first round, not silently recompute).
@@ -33,29 +32,6 @@ sparql::Query ParseQuery(const std::string& text) {
   auto parsed = sparql::Parser::Parse(text);
   EXPECT_TRUE(parsed.ok()) << parsed.error_message() << " in " << text;
   return std::move(parsed).value();
-}
-
-// The full configuration matrix the differential invariant must hold
-// over: threads x shards. Policies are a separate axis (PolicyAgreement
-// below) so the matrix stays affordable.
-struct MatrixConfig {
-  size_t threads;
-  size_t shards;
-};
-
-std::vector<MatrixConfig> FullMatrix() {
-  std::vector<MatrixConfig> out;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (size_t shards : {size_t{1}, size_t{4}}) {
-      out.push_back({threads, shards});
-    }
-  }
-  return out;
-}
-
-std::string Describe(const MatrixConfig& c) {
-  return "threads=" + std::to_string(c.threads) +
-         " shards=" + std::to_string(c.shards);
 }
 
 bool Contains(const std::vector<graph::Triple>& sorted,
@@ -208,27 +184,29 @@ TEST_P(StandingDifferentialTest, MaintainedEqualsColdAcrossFullMatrix) {
     const sparql::Query query = ParseQuery(texts[q]);
     const ReferenceChain chain = MakeReferenceChain(base, stream, query);
 
-    for (const MatrixConfig& mc : FullMatrix()) {
+    // Policies are a separate axis (PolicyAgreement below) so the thread
+    // sweep stays affordable.
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      const std::string context = "threads=" + std::to_string(threads);
       StandingQueryOptions options;
-      options.solver.num_threads = mc.threads;
-      options.solver.num_shards = mc.shards;
+      options.solver.num_threads = threads;
       options.solver.cache_sois = false;
       options.solver.cache_solutions = false;
 
       StandingQuery standing(query.Clone(), base.Snapshot(), options);
       ExpectSameSolution(standing.report(), chain.reports[0],
-                         Describe(mc) + " cold");
+                         context + " cold");
       for (size_t batch = 0; batch < stream.size(); ++batch) {
         const PruneReport& got = standing.Apply(stream[batch]);
         ExpectSameSolution(got, chain.reports[batch + 1],
-                           Describe(mc) + " batch " + std::to_string(batch));
+                           context + " batch " + std::to_string(batch));
       }
       // The stream's no-op batches (kind 3) must have taken the
       // contentless fast path at least once.
-      EXPECT_GT(standing.stats().noop_applies, 0u) << Describe(mc);
+      EXPECT_GT(standing.stats().noop_applies, 0u) << context;
       EXPECT_EQ(standing.stats().applies + standing.stats().noop_applies,
                 stream.size())
-          << Describe(mc);
+          << context;
     }
   }
 }

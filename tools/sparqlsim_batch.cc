@@ -23,8 +23,6 @@
 //                       toggle solve-scratch recycling (on by default;
 //                       bit-identical results either way — the off state
 //                       is the differential oracle's allocation profile)
-//   --shards N          column-shard each fixpoint round into N ranges
-//                       (bit-identical results for every value)
 //   --deadline-ms N     per-query compute budget; expired queries return a
 //                       sound over-approximation marked "truncated"
 //   --priority high|low default admission class for untagged queries
@@ -84,8 +82,7 @@ int Usage() {
       "                       [--cache-capacity N] [--cache|--no-cache]\n"
       "                       [--incremental|--no-incremental]\n"
       "                       [--scratch-pool|--no-scratch-pool]\n"
-      "                       [--shards N] [--deadline-ms N]\n"
-      "                       [--priority high|low]\n"
+      "                       [--deadline-ms N] [--priority high|low]\n"
       "                       [--repeat K] [--db file.gdb] "
       "[--resident-mb M]\n"
       "                       [--subscribe [--deltas updates.txt]] [data.nt] "
@@ -329,11 +326,6 @@ int Run(int argc, char** argv) {
       if (!parse_size(value, &repeat) || repeat == 0) return Usage();
       continue;
     }
-    if (!flag_value(i, "--shards", &value)) return Usage();
-    if (value != nullptr) {
-      if (!parse_size(value, &options.solver.num_shards)) return Usage();
-      continue;
-    }
     if (!flag_value(i, "--deadline-ms", &value)) return Usage();
     if (value != nullptr) {
       if (!parse_size(value, &deadline_ms)) return Usage();
@@ -357,7 +349,7 @@ int Run(int argc, char** argv) {
     }
     if (!flag_value(i, "--resident-mb", &value)) return Usage();
     if (value != nullptr) {
-      if (!tools::ParseResidentMb(value)) return Usage();
+      if (!tools::ParseMib(value)) return Usage();
       resident_mb = value;
       continue;
     }

@@ -28,9 +28,6 @@
 //                 Purely an allocation knob: results are bit-identical
 //                 either way. SPARQLSIM_NO_SCRATCH=1 sets the same switch
 //                 from the environment.
-//   --shards N    column-shard each fixpoint round into N word-aligned
-//                 ranges (0 = env default SPARQLSIM_FORCE_SHARDS or 1).
-//                 Bit-identical results for every value.
 //   --deadline-ms N  per-query compute budget for sim/prune; an expired
 //                 query stops at the next round boundary and reports a
 //                 sound over-approximation (marked "truncated").
@@ -87,7 +84,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: sparqlsim [--threads N] [--cache|--no-cache] "
                "[--cache-capacity N] [--incremental|--no-incremental] "
-               "[--scratch-pool|--no-scratch-pool] [--shards N] "
+               "[--scratch-pool|--no-scratch-pool] "
                "[--deadline-ms N] [--priority high|low] "
                "[--db file.gdb] [--resident-mb M] "
                "<stats|query|prune|sim|bench|explain|convert> "
@@ -161,10 +158,8 @@ int PrintSim(const graph::GraphDatabase& db, const sim::PruneReport& report) {
     });
     if (shown > 10) std::printf("  ... (%zu more)\n", shown - 10);
   }
-  std::fprintf(stderr, "solved in %.4fs (%zu rounds, %zu branches, "
-               "%zu shards)%s\n",
+  std::fprintf(stderr, "solved in %.4fs (%zu rounds, %zu branches)%s\n",
                report.total_seconds, report.stats.rounds, report.num_branches,
-               report.stats.shards_used,
                report.truncated ? " [truncated: deadline expired; candidate "
                                   "sets are a sound over-approximation]"
                                 : "");
@@ -278,9 +273,6 @@ int Run(int argc, char** argv) {
   auto parse_threads = [&](const char* text) {
     return parse_size_flag(text, "--threads", &options.num_threads);
   };
-  auto parse_shards = [&](const char* text) {
-    return parse_size_flag(text, "--shards", &options.num_shards);
-  };
   auto parse_deadline = [&](const char* text) {
     if (!parse_size_flag(text, "--deadline-ms", &deadline_ms)) return false;
     use_service = true;
@@ -301,7 +293,7 @@ int Run(int argc, char** argv) {
     return true;
   };
   auto parse_resident_mb = [&](const char* text) {
-    if (!tools::ParseResidentMb(text)) {
+    if (!tools::ParseMib(text)) {
       std::fprintf(stderr, "invalid --resident-mb value '%s'\n", text);
       return false;
     }
@@ -374,14 +366,6 @@ int Run(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--no-incremental") == 0) {
       options.incremental_eval = false;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--shards") == 0) {
-      if (i + 1 >= argc || !parse_shards(argv[++i])) return Usage();
-      continue;
-    }
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      if (!parse_shards(argv[i] + 9)) return Usage();
       continue;
     }
     if (std::strcmp(argv[i], "--deadline-ms") == 0) {

@@ -7,9 +7,11 @@
 //   sparqlsim-datagen queries                       # prints the workloads
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
+
+#include "tool_common.h"
 
 #include "datagen/dbpedia.h"
 #include "datagen/lubm.h"
@@ -27,6 +29,27 @@ int Usage() {
   return 2;
 }
 
+/// The size argument and optional seed of `lubm`/`dbpedia` into *size and
+/// *seed (left unchanged when absent); false, after a diagnostic, when
+/// either is not a plain decimal count.
+bool ParseSizeAndSeed(int argc, char** argv, size_t* size, uint64_t* seed) {
+  const std::optional<size_t> parsed_size = tools::ParseCount(argv[2]);
+  if (!parsed_size) {
+    std::fprintf(stderr, "invalid %s size '%s'\n", argv[1], argv[2]);
+    return false;
+  }
+  *size = *parsed_size;
+  if (argc > 3) {
+    const std::optional<size_t> parsed_seed = tools::ParseCount(argv[3]);
+    if (!parsed_seed) {
+      std::fprintf(stderr, "invalid seed '%s'\n", argv[3]);
+      return false;
+    }
+    *seed = *parsed_seed;
+  }
+  return true;
+}
+
 int Run(int argc, char** argv) {
   if (argc < 2) return Usage();
 
@@ -37,16 +60,19 @@ int Run(int argc, char** argv) {
   if (std::strcmp(argv[1], "lubm") == 0) {
     if (argc < 3) return Usage();
     datagen::LubmConfig config;
-    config.num_universities = std::strtoull(argv[2], nullptr, 10);
-    if (argc > 3) config.seed = std::strtoull(argv[3], nullptr, 10);
+    if (!ParseSizeAndSeed(argc, argv, &config.num_universities,
+                          &config.seed)) {
+      return Usage();
+    }
     graph::NTriples::Write(datagen::MakeLubmDatabase(config), std::cout);
     return 0;
   }
   if (std::strcmp(argv[1], "dbpedia") == 0) {
     if (argc < 3) return Usage();
     datagen::DbpediaConfig config;
-    config.scale = std::strtoull(argv[2], nullptr, 10);
-    if (argc > 3) config.seed = std::strtoull(argv[3], nullptr, 10);
+    if (!ParseSizeAndSeed(argc, argv, &config.scale, &config.seed)) {
+      return Usage();
+    }
     graph::NTriples::Write(datagen::MakeDbpediaDatabase(config), std::cout);
     return 0;
   }

@@ -210,14 +210,20 @@ int Run(int argc, char** argv) {
       config.parse.permissive = true;
     } else if (arg == "--stats") {
       config.print_stats = true;
-    } else if (arg == "--threads") {
-      const char* value = next_value("--threads");
-      if (value == nullptr) return Usage();
-      config.parse.num_threads =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      config.parse.num_threads = static_cast<size_t>(
-          std::strtoull(arg.c_str() + std::strlen("--threads="), nullptr, 10));
+    } else if (arg == "--threads" || arg.rfind("--threads=", 0) == 0) {
+      const char* value;
+      if (arg == "--threads") {
+        value = next_value("--threads");
+        if (value == nullptr) return Usage();
+      } else {
+        value = arg.c_str() + std::strlen("--threads=");
+      }
+      const std::optional<size_t> threads = tools::ParseCount(value);
+      if (!threads) {
+        std::fprintf(stderr, "invalid --threads value '%s'\n", value);
+        return Usage();
+      }
+      config.parse.num_threads = *threads;
     } else if (arg == "--format" || arg.rfind("--format=", 0) == 0) {
       const char* value;
       if (arg == "--format") {
@@ -237,12 +243,13 @@ int Run(int argc, char** argv) {
     } else if (arg == "--chunk-mb") {
       const char* value = next_value("--chunk-mb");
       if (value == nullptr) return Usage();
-      size_t mb = static_cast<size_t>(std::strtoull(value, nullptr, 10));
-      if (mb == 0) {
-        std::fprintf(stderr, "--chunk-mb must be >= 1\n");
+      const std::optional<size_t> bytes = tools::ParseMib(value);
+      if (!bytes || *bytes == 0) {
+        std::fprintf(stderr, "--chunk-mb must be a MiB count >= 1, got '%s'\n",
+                     value);
         return Usage();
       }
-      config.parse.chunk_bytes = mb << 20;
+      config.parse.chunk_bytes = *bytes;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return Usage();

@@ -18,19 +18,25 @@
 
 namespace sparqlsim::tools {
 
-/// Parses a resident-memory budget given in MiB (the --resident-mb flag,
-/// SPARQLSIM_RESIDENT_MB) into bytes, 0 meaning unbounded. Only plain
-/// decimal digits are accepted, and the byte count must fit in size_t:
-/// anything else is nullopt, so a typo never silently means "unbounded"
-/// and a huge value never wraps into a tiny budget.
-inline std::optional<size_t> ParseResidentMb(std::string_view text) {
-  size_t mb = 0;
+/// Parses a numeric command-line value. Only plain decimal digits are
+/// accepted, all of `text`, and the value must fit in size_t: anything
+/// else ("abc", "2x", "", "-1") is nullopt, so a typo never silently
+/// becomes 0 or a prefix of itself.
+inline std::optional<size_t> ParseCount(std::string_view text) {
+  size_t value = 0;
   const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, mb);
-  if (error != std::errc() || stop != end || mb > (SIZE_MAX >> 20)) {
-    return std::nullopt;
-  }
-  return mb << 20;
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
+/// Parses a size given in MiB (--resident-mb, SPARQLSIM_RESIDENT_MB,
+/// --chunk-mb) into bytes. ParseCount's rules, and the byte count must
+/// fit in size_t, so a huge value never wraps into a tiny size.
+inline std::optional<size_t> ParseMib(std::string_view text) {
+  const std::optional<size_t> mb = ParseCount(text);
+  if (!mb || *mb > (SIZE_MAX >> 20)) return std::nullopt;
+  return *mb << 20;
 }
 
 /// The resident budget in bytes for lazily opened SQSIMDB2 files: `flag`
@@ -47,7 +53,7 @@ inline std::optional<size_t> ResidentBudgetBytes(const char* flag,
     text = std::getenv(name);
     if (text == nullptr || *text == '\0') return default_mb << 20;
   }
-  std::optional<size_t> bytes = ParseResidentMb(text);
+  std::optional<size_t> bytes = ParseMib(text);
   if (!bytes) std::fprintf(stderr, "invalid %s value '%s'\n", name, text);
   return bytes;
 }
