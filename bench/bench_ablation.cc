@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "sim/pruner.h"
+#include "sim/sim_engine.h"
 
 namespace sparqlsim {
 namespace {
@@ -79,7 +79,6 @@ struct QueryResult {
 QueryResult RunQuery(const char* id, const graph::GraphDatabase& db,
                      const std::string& text) {
   sparql::Query query = bench::ParseOrDie(text);
-  sim::SparqlSimProcessor processor(&db);
 
   QueryResult result;
   result.id = id;
@@ -91,9 +90,11 @@ QueryResult RunQuery(const char* id, const graph::GraphDatabase& db,
     // Time the solve itself (SOI construction + fixpoint): that is the
     // path every one of these knobs ablates. Triple extraction is
     // identical across variants and would only dilute the comparison.
+    sim::SimEngine engine(&db, v.options);
     sim::Solution solution;
-    double seconds = bench::TimeAverage(
-        [&] { solution = processor.Solve(*query.where, v.options); });
+    double seconds = bench::TimeAverage([&] {
+      solution = engine.Solve(sim::BuildSoiFromPattern(*query.where, db));
+    });
     VariantRow row;
     row.name = v.name;
     row.seconds = seconds;

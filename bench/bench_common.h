@@ -29,10 +29,15 @@ namespace sparqlsim::bench {
 ///   SPARQLSIM_LUBM_UNIVERSITIES (default 6)
 ///   SPARQLSIM_DBPEDIA_SCALE     (default 2)
 ///   SPARQLSIM_BENCH_REPS        (default 3)
+/// Unset or empty means `fallback`; anything but a plain decimal count
+/// (tools::ParseCount) exits with a diagnostic rather than scaling the
+/// bench to a prefix of the text, or to 0.
 inline size_t EnvSize(const char* name, size_t fallback) {
   const char* value = std::getenv(name);
-  if (!value) return fallback;
-  return static_cast<size_t>(std::strtoull(value, nullptr, 10));
+  if (value == nullptr || *value == '\0') return fallback;
+  size_t parsed = 0;
+  if (!tools::ParseCountFlag(name, value, &parsed)) std::exit(2);
+  return parsed;
 }
 
 /// Database override for running the paper's tables on *real* ingested

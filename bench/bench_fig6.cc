@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "sim/pruner.h"
+#include "sim/sim_engine.h"
 #include "sim/soi.h"
 #include "sparql/normalize.h"
 
@@ -35,10 +35,10 @@ void Analyze(const char* id, const graph::GraphDatabase& db,
               soi.NumVars(), soi.matrix_ineqs.size(), soi.sub_ineqs.size());
   std::printf("%s", soi.ToString(db).c_str());
 
-  sim::SparqlSimProcessor processor(&db);
+  sim::SimEngine engine(&db);
   sim::Solution solution;
-  double seconds =
-      bench::TimeAverage([&] { solution = processor.Solve(*core); });
+  double seconds = bench::TimeAverage(
+      [&] { solution = engine.Solve(sim::BuildSoiFromPattern(*core, db)); });
   std::printf("fixpoint: rounds=%zu evaluations=%zu updates=%zu "
               "(row-wise %zu, column-wise %zu)  time=%.5fs\n",
               solution.stats.rounds, solution.stats.evaluations,

@@ -8,14 +8,14 @@
 #include "bench/bench_common.h"
 #include "sim/hhk_baseline.h"
 #include "sim/ma_baseline.h"
-#include "sim/pruner.h"
+#include "sim/sim_engine.h"
 
 namespace sparqlsim {
 namespace {
 
 void RunWorkload(const char* dataset_name, const graph::GraphDatabase& db,
                  const std::vector<datagen::NamedQuery>& queries) {
-  sim::SparqlSimProcessor processor(&db);
+  sim::SimEngine engine(&db);
 
   std::printf("\n[%s]\n", dataset_name);
   std::printf("%-6s %12s %12s %12s %14s\n", "Query", "t_SOI", "t_MA", "t_HHK",
@@ -28,8 +28,8 @@ void RunWorkload(const char* dataset_name, const graph::GraphDatabase& db,
     bench::PatternWithConstants p =
         bench::BgpToDataPattern(query.where->triples(), db);
 
-    double t_soi =
-        bench::TimeAverage([&] { processor.Solve(*query.where); });
+    double t_soi = bench::TimeAverage(
+        [&] { engine.Solve(sim::BuildSoiFromPattern(*query.where, db)); });
     double t_ma = bench::TimeAverage([&] {
       if (p.satisfiable) sim::MaDualSimulation(p.pattern, db, p.constants);
     });

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "sim/pruner.h"
+#include "sim/sim_engine.h"
 #include "util/stopwatch.h"
 
 namespace sparqlsim {
@@ -76,9 +76,10 @@ VariantRow RunVariant(const char* name, const std::string& path,
     graph::GraphDatabase db = std::move(loaded).value();
     row.open_seconds += open_watch.ElapsedSeconds();
 
-    sim::SparqlSimProcessor processor(&db);
+    sim::SimEngine engine(&db);
     util::Stopwatch query_watch;
-    sim::Solution solution = processor.Solve(*query.where);
+    sim::Solution solution =
+        engine.Solve(sim::BuildSoiFromPattern(*query.where, db));
     row.first_query_seconds += query_watch.ElapsedSeconds();
     row.relation_size = solution.RelationSize();
     row.backing = db.backing_stats();

@@ -13,14 +13,13 @@
 #include "bench/bench_common.h"
 #include "engine/evaluator.h"
 #include "engine/required_triples.h"
-#include "sim/pruner.h"
+#include "sim/sim_engine.h"
 
 namespace sparqlsim {
 namespace {
 
 void RunWorkload(const char* dataset_name, const graph::GraphDatabase& db,
                  const std::vector<datagen::NamedQuery>& queries) {
-  sim::SparqlSimProcessor processor(&db);
   engine::Evaluator evaluator(&db);
 
   std::printf("\n[%s] %zu triples\n", dataset_name, db.NumTriples());
@@ -31,8 +30,10 @@ void RunWorkload(const char* dataset_name, const graph::GraphDatabase& db,
   for (const auto& [id, text] : queries) {
     sparql::Query query = bench::ParseOrDie(text);
 
+    // A fresh engine per run, so no run is a solution-cache hit.
     sim::PruneReport report;
-    double t_sim = bench::TimeAverage([&] { report = processor.Prune(query); });
+    double t_sim =
+        bench::TimeAverage([&] { report = sim::SimEngine(&db).Prune(query); });
 
     engine::SolutionSet results = evaluator.Evaluate(query);
     size_t required = engine::CollectRequiredTriples(query, db, evaluator).size();

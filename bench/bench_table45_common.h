@@ -9,7 +9,7 @@
 
 #include "bench/bench_common.h"
 #include "engine/evaluator.h"
-#include "sim/pruner.h"
+#include "sim/sim_engine.h"
 
 namespace sparqlsim::bench {
 
@@ -17,7 +17,6 @@ inline void RunPrunedVsFull(const char* dataset_name,
                             const graph::GraphDatabase& db,
                             const std::vector<datagen::NamedQuery>& queries,
                             engine::JoinOrderPolicy policy) {
-  sim::SparqlSimProcessor processor(&db);
   engine::Evaluator full_eval(&db, {policy});
 
   std::printf("\n[%s] %zu triples\n", dataset_name, db.NumTriples());
@@ -32,8 +31,10 @@ inline void RunPrunedVsFull(const char* dataset_name,
     double t_full = TimeAverage(
         [&] { full_rows = full_eval.Evaluate(query).NumRows(); });
 
+    // A fresh engine per run, so no run is a solution-cache hit.
     sim::PruneReport report;
-    double t_sim = TimeAverage([&] { report = processor.Prune(query); });
+    double t_sim =
+        TimeAverage([&] { report = sim::SimEngine(&db).Prune(query); });
 
     graph::GraphDatabase pruned = db.Restrict(report.kept_triples);
     engine::Evaluator pruned_eval(&pruned, {policy});

@@ -8,7 +8,7 @@
 
 #include "datagen/movies.h"
 #include "engine/evaluator.h"
-#include "sim/pruner.h"
+#include "sim/sim_engine.h"
 #include "sim/soi.h"
 #include "sparql/normalize.h"
 #include "sparql/parser.h"
@@ -39,8 +39,7 @@ void Show(const char* name, const char* text,
   std::printf("matches (%zu):\n%s", matches.NumRows(),
               matches.ToString(db).c_str());
 
-  sim::SparqlSimProcessor processor(&db);
-  sim::PruneReport report = processor.Prune(query);
+  sim::PruneReport report = sim::SimEngine(&db).Prune(query);
   std::printf("pruned to %zu of %zu triples\n", report.kept_triples.size(),
               db.NumTriples());
   graph::GraphDatabase pruned = db.Restrict(report.kept_triples);

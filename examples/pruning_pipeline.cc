@@ -10,7 +10,7 @@
 #include "datagen/lubm.h"
 #include "datagen/queries.h"
 #include "engine/evaluator.h"
-#include "sim/pruner.h"
+#include "sim/sim_engine.h"
 #include "sparql/parser.h"
 #include "util/stopwatch.h"
 
@@ -38,9 +38,10 @@ int main() {
   std::printf("\nfull database:   %8zu results in %.4fs\n",
               full_rows.NumRows(), t_full);
 
-  // Dual simulation pruning.
-  sim::SparqlSimProcessor processor(&db);
-  sim::PruneReport report = processor.Prune(query);
+  // Dual simulation pruning: SimEngine::Prune solves the query's SOI and
+  // extracts the triples its solution admits.
+  sim::SimEngine engine(&db);
+  sim::PruneReport report = engine.Prune(query);
   std::printf("dual simulation: kept %zu of %zu triples (%.2f%%) in %.4fs "
               "(%zu fixpoint rounds)\n",
               report.kept_triples.size(), db.NumTriples(),

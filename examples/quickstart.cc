@@ -3,7 +3,8 @@
 // Builds the movie graph of Fig. 1(a), runs the introductory query (X1)
 // through all three layers of the library:
 //   1. the exact SPARQL engine (the reference semantics),
-//   2. the largest dual simulation via the SOI solver (Sect. 3),
+//   2. the largest dual simulation via the SOI solver (Sect. 3), which
+//      sim::SimEngine::Prune reports per query variable,
 //   3. dual-simulation pruning (Sect. 5) and re-evaluation on the prune.
 //
 // Build & run:  ./build/examples/quickstart
@@ -12,7 +13,7 @@
 
 #include "datagen/movies.h"
 #include "engine/evaluator.h"
-#include "sim/pruner.h"
+#include "sim/sim_engine.h"
 #include "sparql/parser.h"
 
 int main() {
@@ -41,8 +42,8 @@ int main() {
               matches.ToString(db).c_str());
 
   // --- 2. The largest dual simulation (relation (2) of the paper). ---
-  sim::SparqlSimProcessor processor(&db);
-  sim::PruneReport report = processor.Prune(query);
+  sim::SimEngine engine(&db);
+  sim::PruneReport report = engine.Prune(query);
   std::printf("largest dual simulation candidates per variable:\n");
   for (const auto& [var, candidates] : report.var_candidates) {
     std::printf("  ?%s ->", var.c_str());

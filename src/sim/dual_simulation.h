@@ -10,7 +10,8 @@ namespace sparqlsim::sim {
 /// graph database (Prop. 1/2 of the paper) via the SOI fixpoint. Pattern
 /// edge labels must be database predicate ids (or kEmptyPredicate).
 /// candidates[v] is the set of database nodes dual-simulating pattern
-/// node v.
+/// node v. Solves inline on the calling thread through SolveSoi, so
+/// `options.num_threads` is not read; a SimEngine owns a pool.
 Solution LargestDualSimulation(const graph::Graph& pattern,
                                const graph::GraphDatabase& db,
                                const SolverOptions& options = {});

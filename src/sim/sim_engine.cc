@@ -34,22 +34,21 @@ SimEngine::SimEngine(const graph::GraphDatabase* db, SolverOptions options,
 Solution SimEngine::Solve(const Soi& soi,
                           const std::vector<util::BitVector>* initial,
                           const SolveControl* control) const {
-  if (scratch_pool_ == nullptr) {
-    return SolveSoi(soi, *db_, options_, initial, pool_.get(), control);
-  }
+  SolveRequest request{
+      .initial = initial, .pool = pool_.get(), .control = control};
+  if (scratch_pool_ == nullptr) return SolveSoi(soi, *db_, options_, request);
   // Checkout spans the solve only; an exception drops the scratch rather
   // than returning it, which is safe (the pool just mints a fresh one).
   std::unique_ptr<SolveScratch> scratch = scratch_pool_->Acquire();
-  Solution solved = SolveSoiWarm(soi, *db_, options_, initial, pool_.get(),
-                                 control, /*warm=*/nullptr, scratch.get());
+  request.scratch = scratch.get();
+  Solution solved = SolveSoi(soi, *db_, options_, request);
   scratch_pool_->Record(solved.stats);
   scratch_pool_->Release(std::move(scratch));
   return solved;
 }
 
 SimEngine::BranchOutcome SimEngine::ProcessBranch(
-    const sparql::Pattern& branch, bool extract_triples,
-    const SolveControl* control) const {
+    const sparql::Pattern& branch, const SolveControl* control) const {
   BranchOutcome out;
   const uint64_t generation = db_->generation();
   const bool cache_sois = cache_ != nullptr && options_.cache_sois;
@@ -59,10 +58,8 @@ SimEngine::BranchOutcome SimEngine::ProcessBranch(
   // against the cached SOI instance it was solved on — never against a
   // freshly built one. SoiCache enforces the pairing itself (solution
   // lookups carry the SOI instance), but without the SOI layer there is no
-  // instance to pair against. Truncated runs (max_rounds != 0) are not the
-  // canonical fixpoint and also bypass the layer.
-  const bool cache_solutions = cache_sois && options_.cache_solutions &&
-                               options_.max_rounds == 0;
+  // instance to pair against.
+  const bool cache_solutions = cache_sois && options_.cache_solutions;
 
   std::string key;
   if (cache_sois || cache_solutions) {
@@ -96,33 +93,8 @@ SimEngine::BranchOutcome SimEngine::ProcessBranch(
     }
   }
 
-  if (extract_triples) {
-    // Triple extraction (Sect. 5): a data triple survives iff some pattern
-    // edge (v, a, w) admits it with subject in chi(v) and object in chi(w).
-    const Soi& soi = *out.soi;
-    const Solution& solution = *out.solution;
-    for (const Soi::Edge& e : soi.edges) {
-      if (e.predicate == kEmptyPredicate) continue;
-      const util::BitVector& subjects = solution.candidates[e.subject_var];
-      const util::BitVector& objects = solution.candidates[e.object_var];
-      if (subjects.None() || objects.None()) continue;
-      const util::BitMatrix& fwd = db_->Forward(e.predicate);
-      subjects.ForEachSetBit([&](uint32_t s) {
-        for (uint32_t o : fwd.Row(s)) {
-          if (objects.Test(o)) {
-            out.kept.push_back({s, e.predicate, o});
-          }
-        }
-      });
-    }
-  }
+  ExtractKeptTriples(*out.soi, *out.solution, *db_, &out.kept);
   return out;
-}
-
-Solution SimEngine::SolvePattern(const sparql::Pattern& union_free_pattern,
-                                 const SolveControl* control) const {
-  return *ProcessBranch(union_free_pattern, /*extract_triples=*/false, control)
-              .solution;
 }
 
 PruneReport SimEngine::Prune(const sparql::Query& query,
@@ -145,7 +117,7 @@ PruneReport SimEngine::Prune(const sparql::Query& query,
   // Each task writes only its own outcome slot.
   std::vector<BranchOutcome> outcomes(branches.size());
   auto run_branch = [&](size_t i) {
-    outcomes[i] = ProcessBranch(*branches[i], /*extract_triples=*/true, control);
+    outcomes[i] = ProcessBranch(*branches[i], control);
   };
   util::ParallelFor(branches.size() > 1 ? pool_.get() : nullptr,
                     branches.size(), run_branch);
@@ -159,7 +131,9 @@ PruneReport SimEngine::Prune(const sparql::Query& query,
   // assertion below fires if a refactor ever merges from a pool thread.
   [[maybe_unused]] const std::thread::id coordinator =
       std::this_thread::get_id();
-  for (BranchOutcome& outcome : outcomes) {
+  std::vector<SolvedBranch> solved;
+  solved.reserve(outcomes.size());
+  for (const BranchOutcome& outcome : outcomes) {
     assert(std::this_thread::get_id() == coordinator &&
            "PruneReport merge must stay on the coordinating thread");
     if (outcome.solution_from_cache) {
@@ -168,31 +142,53 @@ PruneReport SimEngine::Prune(const sparql::Query& query,
       report.stats.Accumulate(outcome.solution->stats);
     }
     report.truncated = report.truncated || outcome.solution->truncated;
-
-    // Candidate sets per original query variable: union over occurrence
-    // groups; surrogates are subsumed by their anchors (Sect. 4.3), but
-    // unanchored optional groups each contribute.
-    for (const auto& [var, groups] : outcome.soi->query_var_groups) {
-      auto [it, inserted] =
-          report.var_candidates.try_emplace(var, util::BitVector(n));
-      for (uint32_t g : groups) {
-        it->second.OrWith(outcome.solution->candidates[g]);
-      }
-    }
-
-    report.kept_triples.insert(report.kept_triples.end(),
-                               outcome.kept.begin(), outcome.kept.end());
-    outcome.kept.clear();
-    outcome.kept.shrink_to_fit();
+    solved.push_back(
+        {outcome.soi.get(), outcome.solution.get(), &outcome.kept});
   }
-
-  std::sort(report.kept_triples.begin(), report.kept_triples.end());
-  report.kept_triples.erase(
-      std::unique(report.kept_triples.begin(), report.kept_triples.end()),
-      report.kept_triples.end());
+  MergeBranches(solved, n, &report);
 
   report.total_seconds = timer.ElapsedSeconds();
   return report;
+}
+
+void ExtractKeptTriples(const Soi& soi, const Solution& solution,
+                        const graph::GraphDatabase& db,
+                        std::vector<graph::Triple>* kept) {
+  graph::ResidencyPin residency_pin = db.PinResidency();
+  for (const Soi::Edge& e : soi.edges) {
+    if (e.predicate == kEmptyPredicate) continue;
+    const util::BitVector& subjects = solution.candidates[e.subject_var];
+    const util::BitVector& objects = solution.candidates[e.object_var];
+    if (subjects.None() || objects.None()) continue;
+    const util::BitMatrix& fwd = db.Forward(e.predicate);
+    subjects.ForEachSetBit([&](uint32_t s) {
+      for (uint32_t o : fwd.Row(s)) {
+        if (objects.Test(o)) kept->push_back({s, e.predicate, o});
+      }
+    });
+  }
+}
+
+void MergeBranches(std::span<const SolvedBranch> branches, size_t num_nodes,
+                   PruneReport* report) {
+  size_t total = 0;
+  for (const SolvedBranch& b : branches) total += b.kept->size();
+  report->kept_triples.reserve(total);
+  for (const SolvedBranch& b : branches) {
+    for (const auto& [var, groups] : b.soi->query_var_groups) {
+      auto [it, inserted] =
+          report->var_candidates.try_emplace(var, util::BitVector(num_nodes));
+      for (uint32_t g : groups) {
+        it->second.OrWith(b.solution->candidates[g]);
+      }
+    }
+    report->kept_triples.insert(report->kept_triples.end(), b.kept->begin(),
+                                b.kept->end());
+  }
+  std::sort(report->kept_triples.begin(), report->kept_triples.end());
+  report->kept_triples.erase(
+      std::unique(report->kept_triples.begin(), report->kept_triples.end()),
+      report->kept_triples.end());
 }
 
 }  // namespace sparqlsim::sim

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,12 +51,12 @@ struct PruneReport {
   /// End-to-end wall time: SOI construction + solving + triple extraction.
   double total_seconds = 0.0;
 
-  /// True iff any branch's fixpoint stopped early — deadline expiry,
-  /// cancellation, or a max_rounds cap. A truncated report stays *sound*
-  /// in the Thm. 2 sense (candidate sets and kept triples are supersets of
-  /// the converged ones; no match is lost) but is not the canonical
-  /// fixpoint, so it never enters the solution cache and callers that need
-  /// the exact pruned database must re-run without the deadline.
+  /// True iff any branch's fixpoint stopped early — deadline expiry or
+  /// cancellation. A truncated report stays *sound* in the Thm. 2 sense
+  /// (candidate sets and kept triples are supersets of the converged ones;
+  /// no match is lost) but is not the canonical fixpoint, so it never
+  /// enters the solution cache and callers that need the exact pruned
+  /// database must re-run without the deadline.
   bool truncated = false;
 
   /// generation() of the database this report was computed against. The
@@ -88,9 +89,9 @@ struct PruneReport {
 /// For concurrent multi-query serving on top of the engine, see
 /// sim::QueryService (bounded admission queue + in-flight dedup).
 ///
-/// Thread-safety: Solve/SolvePattern/Prune are const and safe to call
-/// concurrently from multiple threads — a contract QueryService relies on
-/// (its pool workers all Prune through one shared engine). Concurrent
+/// Thread-safety: Solve and Prune are const and safe to call concurrently
+/// from multiple threads — a contract QueryService relies on (its pool
+/// workers all Prune through one shared engine). Concurrent
 /// calls share only the immutable database, the internally synchronized
 /// SoiCache, the ThreadPool (whose Submit is locked and whose ParallelFor
 /// keeps per-call state, so overlapping callers are fine), and the
@@ -132,12 +133,6 @@ class SimEngine {
                  const std::vector<util::BitVector>* initial = nullptr,
                  const SolveControl* control = nullptr) const;
 
-  /// Builds (or fetches from cache) and solves the SOI of a union-free
-  /// pattern; consults the solution cache when enabled. A solve truncated
-  /// by `control` is returned but never cached.
-  Solution SolvePattern(const sparql::Pattern& union_free_pattern,
-                        const SolveControl* control = nullptr) const;
-
   /// Full pipeline: query -> pruned triple set + candidates. All union-free
   /// branches of the union normal form are processed concurrently through
   /// the pool (solve + triple extraction per branch), then merged in branch
@@ -155,8 +150,11 @@ class SimEngine {
     bool solution_from_cache = false;
   };
 
+  /// Builds (or fetches from cache) and solves the SOI of one union-free
+  /// branch, consulting the solution cache when enabled, and extracts its
+  /// kept triples. A solve truncated by `control` is returned but never
+  /// cached.
   BranchOutcome ProcessBranch(const sparql::Pattern& branch,
-                              bool extract_triples,
                               const SolveControl* control) const;
 
   const graph::GraphDatabase* db_;
@@ -165,5 +163,30 @@ class SimEngine {
   std::shared_ptr<SoiCache> cache_;
   std::shared_ptr<ScratchPool> scratch_pool_;
 };
+
+/// Triple extraction (Sect. 5), shared by SimEngine::Prune and
+/// StandingQuery: appends to `kept` every data triple that some pattern
+/// edge (v, a, w) of `soi` admits with its subject in chi(v) and its
+/// object in chi(w). Holds a residency pin on `db` while it reads.
+void ExtractKeptTriples(const Soi& soi, const Solution& solution,
+                        const graph::GraphDatabase& db,
+                        std::vector<graph::Triple>* kept);
+
+/// One solved union-free branch, as MergeBranches reads it.
+struct SolvedBranch {
+  const Soi* soi = nullptr;
+  const Solution* solution = nullptr;
+  const std::vector<graph::Triple>* kept = nullptr;
+};
+
+/// The branch merge of Prop. 3, shared by SimEngine::Prune and
+/// StandingQuery. Sets report->var_candidates to the union, per original
+/// query variable, of its SOI occurrence groups' candidates over all
+/// `branches` (surrogates are subsumed by their anchors, Sect. 4.3, but
+/// unanchored optional groups each contribute), and report->kept_triples
+/// to the sorted, deduplicated union of the branches' kept triples.
+/// `num_nodes` is the width of the candidate vectors.
+void MergeBranches(std::span<const SolvedBranch> branches, size_t num_nodes,
+                   PruneReport* report);
 
 }  // namespace sparqlsim::sim

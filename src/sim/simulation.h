@@ -22,7 +22,8 @@ enum class SimulationKind {
 /// Computes the largest simulation of the requested kind between a pattern
 /// graph (labels = database predicate ids) and a database, via the same
 /// SOI machinery: forward simulation keeps only the `w <= v x F_a`
-/// inequalities, backward only the `v <= w x B_a` ones.
+/// inequalities, backward only the `v <= w x B_a` ones. Like
+/// LargestDualSimulation it solves inline through SolveSoi.
 Solution LargestSimulation(const graph::Graph& pattern,
                            const graph::GraphDatabase& db,
                            SimulationKind kind,

@@ -25,10 +25,10 @@ namespace sparqlsim::sim {
 ///    SOI instance it was solved on. The largest solution is unique
 ///    (Prop. 1), independent of every solver heuristic, so a cached
 ///    solution is valid for any SolverOptions as long as the run was not
-///    truncated (SimEngine never stores max_rounds-limited runs) and the
-///    database generation matches. A Restrict()ed or reloaded database gets
-///    a fresh generation, which invalidates implicitly — stale entries are
-///    unreachable, never wrong.
+///    truncated (SimEngine never stores a solve a SolveControl cut short)
+///    and the database generation matches. A Restrict()ed or reloaded
+///    database gets a fresh generation, which invalidates implicitly —
+///    stale entries are unreachable, never wrong.
 ///
 /// The two layers live in ONE entry on purpose: canonically-equal patterns
 /// may number their SOI variables differently (construction follows triple

@@ -94,8 +94,8 @@ size_t IncrementalCarry::LiveEntries() const {
 }
 
 /// The recyclable workspace behind sim::SolveScratch (class comment in
-/// solver.h). Everything here is a buffer SolveSoiWarm historically
-/// allocated per call; the prepare step at the top of the solve reshapes
+/// solver.h). Everything here is a buffer SolveSoi would otherwise
+/// allocate per call; the prepare step at the top of the solve reshapes
 /// them in place — growing, never shrinking, so spare width keeps serving
 /// the rest of a mixed query workload — and `prepared`/`universe` key
 /// whether the next solve recycles wholesale.
@@ -216,32 +216,11 @@ size_t Solution::RelationSize() const {
 }
 
 Solution SolveSoi(const Soi& soi, const graph::GraphDatabase& db,
-                  const SolverOptions& options,
-                  const std::vector<util::BitVector>* initial) {
-  std::unique_ptr<util::ThreadPool> transient;
-  if (options.ResolvedThreads() > 1) {
-    transient = std::make_unique<util::ThreadPool>(options.ResolvedThreads());
-  }
-  return SolveSoi(soi, db, options, initial, transient.get());
-}
-
-Solution SolveSoi(const Soi& soi, const graph::GraphDatabase& db,
-                  const SolverOptions& options,
-                  const std::vector<util::BitVector>* initial,
-                  util::ThreadPool* pool, const SolveControl* control) {
-  return SolveSoiWarm(soi, db, options, initial, pool, control,
-                      /*warm=*/nullptr);
-}
-
-Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
-                      const SolverOptions& options,
-                      const std::vector<util::BitVector>* initial,
-                      util::ThreadPool* pool, const SolveControl* control,
-                      const WarmStart* warm, SolveScratch* scratch) {
+                  const SolverOptions& options, const SolveRequest& request) {
   util::Stopwatch timer;
-  // Every solver entry point funnels through here: one residency pin keeps
-  // lazily-materialized matrix slabs resident (out-of-core tier) for the
-  // whole fixpoint. Free for in-memory databases.
+  // One residency pin keeps lazily-materialized matrix slabs resident
+  // (out-of-core tier) for the whole fixpoint. Free for in-memory
+  // databases.
   graph::ResidencyPin residency_pin = db.PinResidency();
   const size_t n = db.NumNodes();
   const size_t num_vars = soi.NumVars();
@@ -261,6 +240,7 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   // same node universe recycles wholesale; anything else (first use,
   // universe change, a query shape wider than the scratch has seen —
   // tracked via `grew`) reshapes in place and counts a scratch_alloc.
+  SolveScratch* scratch = request.scratch;
   std::unique_ptr<SolveScratch> transient_scratch;
   if (scratch == nullptr) {
     transient_scratch = std::make_unique<SolveScratch>();
@@ -289,8 +269,8 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   // --- Initialization: Eq. (12) or Eq. (13), constants per Sect. 4.5. ---
   for (size_t v = 0; v < num_vars; ++v) {
     if (soi.unsatisfiable_vars[v]) continue;  // stays empty
-    if (initial != nullptr) {
-      chi[v].AssignFrom((*initial)[v]);
+    if (request.initial != nullptr) {
+      chi[v].AssignFrom((*request.initial)[v]);
       if (soi.constants[v]) {
         util::BitVector pin(n);
         pin.Set(*soi.constants[v]);
@@ -354,17 +334,17 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   work.next.clear();
   // Warm start (sim::StandingQuery): seed the first round with the armed
   // subset only — in sparsity order, like a full first round would be.
-  // Unarmed inequalities hold at `initial` by the WarmStart contract and
+  // Unarmed inequalities hold at `initial` by the warm-start contract and
   // re-activate through `dependents` if an input of theirs later shrinks.
-  if (warm != nullptr && warm->armed != nullptr) {
+  if (request.armed != nullptr) {
     std::erase_if(work.current,
-                  [&](uint32_t idx) { return !(*warm->armed)[idx]; });
+                  [&](uint32_t idx) { return !(*request.armed)[idx]; });
   }
   work.queued.Resize(num_ineqs);
   work.queued.ClearAll();
 
   // Per-matrix-inequality snapshot state; see IneqState. Allocated once,
-  // lazily populated — or adopted from a WarmStart carry, minus the
+  // lazily populated — or adopted from the request's carry, minus the
   // entries the caller declared stale, so retractions resume from products
   // synchronized during the previous converged solve of this Soi.
   //
@@ -376,8 +356,7 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   // solves run on S.ineq_state; their recycled entries get the validity
   // flag reset so stale snapshots are rebuilt before first read (the
   // retained buffers are what makes the reuse pay).
-  IncrementalCarry* carry =
-      warm != nullptr && options.incremental_eval ? warm->carry : nullptr;
+  IncrementalCarry* carry = options.incremental_eval ? request.carry : nullptr;
   std::vector<IneqState> owned_states;
   if (carry != nullptr) {
     owned_states.resize(num_matrix);
@@ -394,19 +373,19 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   std::vector<IneqState>& inc_state =
       (carry != nullptr || !options.incremental_eval) ? owned_states
                                                       : S.ineq_state;
-  if (warm != nullptr && warm->carry != nullptr && carry == nullptr) {
+  if (request.carry != nullptr && carry == nullptr) {
     // incremental_eval off: whatever the carry holds is from a different
     // configuration and must not survive into a later incremental solve.
-    warm->carry->Clear();
+    request.carry->Clear();
   }
 
   if (carry != nullptr && carry->impl_ != nullptr) {
     IncrementalCarry::Impl& held = *carry->impl_;
     if (held.states.size() == num_matrix) {
       inc_state = std::move(held.states);
-      if (warm->carry_invalid != nullptr) {
+      if (request.carry_invalid != nullptr) {
         for (size_t i = 0; i < num_matrix; ++i) {
-          if ((*warm->carry_invalid)[i]) inc_state[i] = IneqState{};
+          if ((*request.carry_invalid)[i]) inc_state[i] = IneqState{};
         }
       }
     }
@@ -543,16 +522,13 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
     }
   };
 
-  stats.threads_used = pool != nullptr ? pool->NumThreads() : 1;
+  stats.threads_used =
+      request.pool != nullptr ? request.pool->NumThreads() : 1;
   while (!work.current.empty()) {
-    if (options.max_rounds != 0 && stats.rounds >= options.max_rounds) {
-      solution.truncated = true;
-      break;
-    }
     // Cooperative cancellation/deadline check, once per round: a truncated
     // fixpoint stops between rounds, so the exported candidates are a
     // sound over-approximation of the true solution (supersets).
-    if (control != nullptr && control->Expired()) {
+    if (request.control != nullptr && request.control->Expired()) {
       solution.truncated = true;
       break;
     }
@@ -569,11 +545,11 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
     }
 
     // Evaluation phase: chi/counts are read-only until the barrier.
-    if (pool == nullptr || width <= 1) {
+    if (request.pool == nullptr || width <= 1) {
       for (size_t k = 0; k < width; ++k) eval(k);
     } else {
       ++stats.parallel_rounds;
-      util::ParallelFor(pool, width, eval);
+      util::ParallelFor(request.pool, width, eval);
     }
 
     // Merge phase, single-threaded, in worklist order.

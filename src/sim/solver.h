@@ -50,25 +50,24 @@ struct SolverOptions {
   /// differential oracle.
   bool incremental_eval = true;
 
-  /// Safety valve for experiments; 0 means no limit.
-  size_t max_rounds = 0;
-
   /// Worker threads for the solving path: per-round parallel inequality
   /// evaluation and (through SimEngine) concurrent union-free branches.
   /// 0 means all hardware threads; 1 (the default) keeps everything on the
   /// calling thread. Results are bit-identical for every value — the solver
   /// evaluates each round against a stable snapshot and merges the results
-  /// in a fixed order — so this is purely a wall-clock knob.
+  /// in a fixed order — so this is purely a wall-clock knob. Only the pool
+  /// owners, SimEngine and StandingQuery, read it: SolveSoi runs on
+  /// whatever SolveRequest::pool it is handed, inline when that is null.
   size_t num_threads = 1;
 
-  /// Cache toggles, honored by SimEngine (the free SolveSoi function has no
-  /// cache to consult). `cache_sois` reuses the constructed SOI of a
+  /// Cache toggles, honored by SimEngine (SolveSoi has no cache to
+  /// consult). `cache_sois` reuses the constructed SOI of a
   /// canonically-equal normalized pattern; `cache_solutions` additionally
   /// reuses whole solutions when the database generation matches. The
   /// solution layer requires the SOI layer (a cached solution is only valid
   /// against the cached SOI instance's variable numbering), so
-  /// `cache_solutions` without `cache_sois` is inert. Solutions are never
-  /// cached for truncated runs (max_rounds != 0), whose outcome is not the
+  /// `cache_solutions` without `cache_sois` is inert. Solutions truncated
+  /// by a SolveControl are never cached: their outcome is not the
   /// canonical fixpoint.
   bool cache_sois = true;
   bool cache_solutions = true;
@@ -83,8 +82,8 @@ struct SolverOptions {
   /// incremental state, worklist vectors) across queries instead of
   /// allocating and zero-filling them per solve. Honored by the owners of
   /// scratch state — SimEngine's ScratchPool, QueryService's shared pool,
-  /// StandingQuery's per-query scratch; the free SolveSoi functions have
-  /// nothing to recycle from. Results are bit-identical on or off (the
+  /// StandingQuery's per-query scratch, each handing SolveSoi a
+  /// SolveRequest::scratch. Results are bit-identical on or off (the
   /// differential suites sweep this axis); off is the oracle configuration
   /// and the CLI/batch `--no-scratch-pool` flag. SPARQLSIM_NO_SCRATCH=1
   /// force-disables it for whole-suite differential runs.
@@ -185,23 +184,110 @@ struct SolveStats {
   void Accumulate(const SolveStats& other);
 };
 
-struct Solution;
-struct WarmStart;
+/// The largest solution of an SOI: one candidate bit-vector per SOI
+/// variable. The induced relation {(v, o) | o in candidates[v]} is the
+/// largest dual simulation (Prop. 2 of the paper).
+struct Solution {
+  std::vector<util::BitVector> candidates;
+  SolveStats stats;
+
+  /// The solve stopped before reaching the fixpoint — SolveControl expiry
+  /// or cancellation. The candidates are then a sound over-approximation
+  /// of the largest solution (a superset per variable), not the canonical
+  /// fixpoint; truncated solutions are never cached.
+  bool truncated = false;
+
+  /// True iff the induced relation is non-empty.
+  bool AnyCandidate() const;
+  /// Sum of candidate-set sizes (size of the induced relation).
+  size_t RelationSize() const;
+};
+
 class IncrementalCarry;
 class SolveScratch;
-Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
-                      const SolverOptions& options,
-                      const std::vector<util::BitVector>* initial,
-                      util::ThreadPool* pool, const SolveControl* control,
-                      const WarmStart* warm, SolveScratch* scratch);
+
+/// The optional, borrowed inputs of one solve. Every field may stay null:
+/// a default SolveRequest is a cold solve from Eq. (12)/(13) on the
+/// calling thread, in a transient workspace, without a deadline.
+struct SolveRequest {
+  /// Start assignment, one vector per SOI variable, replacing the all-ones
+  /// start of Eq. (12): the fixpoint is then the largest solution *below*
+  /// it. Restricted instances (the distance-bounded balls of strong
+  /// simulation) and warm starts use it.
+  const std::vector<util::BitVector>* initial = nullptr;
+  /// Evaluates each round's inequalities on this pool; null runs them
+  /// inline.
+  util::ThreadPool* pool = nullptr;
+  /// Deadline/cancellation, checked at round boundaries; see SolveControl.
+  const SolveControl* control = nullptr;
+  /// Recyclable workspace: the solve runs on the scratch's buffers and
+  /// leaves them prepared for the next same-width solve. Null allocates a
+  /// transient workspace through the identical code path, so pooled and
+  /// unpooled solves differ only in where the buffers came from.
+  SolveScratch* scratch = nullptr;
+
+  // Warm start (sim::StandingQuery): re-converging a previously solved SOI
+  // after a graph delta. With `initial`, the solver computes the largest
+  // solution below it, seeding the first round's worklist with only the
+  // `armed` inequalities; everything else re-activates through the normal
+  // dependency worklist when a variable it reads shrinks.
+  //
+  // Soundness is the caller's contract: every unarmed inequality must
+  // already hold at the initial assignment against the new database (true
+  // for StandingQuery's construction — unarmed inequalities read only
+  // unchanged predicates and variables whose initial value is the old
+  // converged fixpoint). Given that, the solve's result is exactly the
+  // canonical fixpoint a cold solve would produce.
+
+  /// Unified-index arming mask, sized matrix_ineqs.size() +
+  /// sub_ineqs.size() with matrix inequalities first (the solver's
+  /// internal handle space): true = place on the initial worklist. Null
+  /// arms everything (plain solve semantics).
+  const std::vector<bool>* armed = nullptr;
+  /// Incremental state carried from the previous converged solve of the
+  /// same Soi; may be null. Ignored — and cleared — when
+  /// options.incremental_eval is off.
+  IncrementalCarry* carry = nullptr;
+  /// Per-matrix-inequality staleness for `carry` (sized
+  /// matrix_ineqs.size()): true = drop the carried entry — its matrix
+  /// changed, or chi(rhs) may exceed the entry's synchronized selection
+  /// (retraction requires monotone shrink from the sync point). Null
+  /// keeps every entry.
+  const std::vector<bool>* carry_invalid = nullptr;
+};
+
+/// The solver's one entry point: computes the largest solution of `soi`
+/// against `db` by the worklist fixpoint of Sect. 3.2/3.3 — start from
+/// Eq. (12)/(13), repeatedly pick an unstable inequality, AND the
+/// left-hand side with the right-hand-side product, and re-activate every
+/// inequality whose right-hand side reads a changed variable. SimEngine,
+/// StandingQuery, and the pattern-graph front ends (LargestDualSimulation,
+/// LargestSimulation) all solve through it; `request` carries what they
+/// lend the solve.
+///
+/// One fixpoint round evaluates every unstable inequality against the
+/// round-start assignment (the results are per-inequality AND-masks), then
+/// merges the masks into the candidate vectors in fixed worklist order on
+/// the calling thread. Because each mask is a pure function of the
+/// round-start state and the merge order never depends on scheduling, the
+/// result is bit-identical for every pool size — and for
+/// `incremental_eval` on vs off, since a retracted snapshot product
+/// reproduces exactly the Eq. (9) product a full evaluation would compute
+/// (rounds/evaluations/updates agree too, not just the fixpoint).
+///
+/// With an all-false arming mask and an `initial` equal to a converged
+/// fixpoint the solve performs zero rounds — a no-op delta is free.
+Solution SolveSoi(const Soi& soi, const graph::GraphDatabase& db,
+                  const SolverOptions& options = {},
+                  const SolveRequest& request = {});
 
 /// Opaque per-inequality incremental-solver state (snapshot products and
 /// their synchronized selections) carried across
 /// solves of the *same* Soi instance — the state half of standing-query
 /// maintenance (sim::StandingQuery). A solve handed a carry through
-/// WarmStart adopts every entry the caller did not declare stale and, on
-/// reaching the fixpoint, deposits its final state back, so the next
-/// delta's retraction resumes from products synchronized during this
+/// SolveRequest::carry adopts every entry the caller did not declare stale
+/// and, on reaching the fixpoint, deposits its final state back, so the
+/// next delta's retraction resumes from products synchronized during this
 /// solve instead of rebuilding them. Truncated solves deposit nothing
 /// (the carry is cleared: their state is not anchored to a fixpoint).
 ///
@@ -220,11 +306,8 @@ class IncrementalCarry {
   size_t LiveEntries() const;
 
  private:
-  friend Solution SolveSoiWarm(const Soi&, const graph::GraphDatabase&,
-                               const SolverOptions&,
-                               const std::vector<util::BitVector>*,
-                               util::ThreadPool*, const SolveControl*,
-                               const WarmStart*, SolveScratch*);
+  friend Solution SolveSoi(const Soi&, const graph::GraphDatabase&,
+                           const SolverOptions&, const SolveRequest&);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
@@ -232,7 +315,7 @@ class IncrementalCarry {
 /// One recyclable solve workspace: the chi candidate sets, per-inequality
 /// eval masks, the worklist, the incremental IneqState array (snapshot
 /// products and last-rhs vectors), and the delta buffers — everything
-/// SolveSoiWarm would otherwise allocate per call. A scratch is keyed by
+/// SolveSoi would otherwise allocate per call. A scratch is keyed by
 /// the node-universe width it was last prepared for: a solve on the same
 /// universe recycles every buffer (wiping them with the summary-guided
 /// sparse clears), any other solve reshapes in place and counts a
@@ -258,11 +341,8 @@ class SolveScratch {
   SolveScratch& operator=(SolveScratch&&) noexcept;
 
  private:
-  friend Solution SolveSoiWarm(const Soi&, const graph::GraphDatabase&,
-                               const SolverOptions&,
-                               const std::vector<util::BitVector>*,
-                               util::ThreadPool*, const SolveControl*,
-                               const WarmStart*, SolveScratch*);
+  friend Solution SolveSoi(const Soi&, const graph::GraphDatabase&,
+                           const SolverOptions&, const SolveRequest&);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
@@ -304,111 +384,5 @@ class ScratchPool {
   std::atomic<uint64_t> bytes_recycled_{0};
   std::atomic<uint64_t> words_cleared_{0};
 };
-
-/// Warm-start description for re-converging a previously solved SOI after
-/// a graph delta (sim::StandingQuery). Combined with the `initial`
-/// assignment parameter of SolveSoiWarm, the solver computes the largest
-/// solution below `initial`, seeding the first round's worklist with only
-/// the `armed` inequalities; everything else re-activates through the
-/// normal dependency worklist when a variable it reads shrinks.
-///
-/// Soundness is the caller's contract: every unarmed inequality must
-/// already hold at the initial assignment against the new database (true
-/// for StandingQuery's construction — unarmed inequalities read only
-/// unchanged predicates and variables whose initial value is the old
-/// converged fixpoint). Given that, the solve's result is exactly the
-/// canonical fixpoint a cold solve would produce.
-struct WarmStart {
-  /// Unified-index arming mask, sized matrix_ineqs.size() +
-  /// sub_ineqs.size() with matrix inequalities first (the solver's
-  /// internal handle space): true = place on the initial worklist. Null
-  /// arms everything (plain solve semantics).
-  const std::vector<bool>* armed = nullptr;
-  /// Incremental state carried from the previous converged solve of the
-  /// same Soi; may be null. Ignored — and cleared — when
-  /// options.incremental_eval is off.
-  IncrementalCarry* carry = nullptr;
-  /// Per-matrix-inequality staleness for `carry` (sized
-  /// matrix_ineqs.size()): true = drop the carried entry — its matrix
-  /// changed, or chi(rhs) may exceed the entry's synchronized selection
-  /// (retraction requires monotone shrink from the sync point). Null
-  /// keeps every entry.
-  const std::vector<bool>* carry_invalid = nullptr;
-};
-
-/// The largest solution of an SOI: one candidate bit-vector per SOI
-/// variable. The induced relation {(v, o) | o in candidates[v]} is the
-/// largest dual simulation (Prop. 2 of the paper).
-struct Solution {
-  std::vector<util::BitVector> candidates;
-  SolveStats stats;
-
-  /// The solve stopped before reaching the fixpoint — max_rounds hit, or
-  /// SolveControl expiry/cancellation. The candidates are then a sound
-  /// over-approximation of the largest solution (a superset per variable),
-  /// not the canonical fixpoint; truncated solutions are never cached.
-  bool truncated = false;
-
-  /// True iff the induced relation is non-empty.
-  bool AnyCandidate() const;
-  /// Sum of candidate-set sizes (size of the induced relation).
-  size_t RelationSize() const;
-};
-
-/// Computes the largest solution of `soi` against `db` by the worklist
-/// fixpoint of Sect. 3.2/3.3: start from Eq. (12)/(13), repeatedly pick an
-/// unstable inequality, AND the left-hand side with the right-hand-side
-/// product, and re-activate every inequality whose right-hand side reads a
-/// changed variable.
-///
-/// When `initial` is non-null it replaces the all-ones start of Eq. (12):
-/// the fixpoint then computes the largest solution *below* the given
-/// assignment. This is how restricted instances — e.g. the distance-bounded
-/// balls of strong simulation — reuse the solver.
-/// One fixpoint round evaluates every unstable inequality against the
-/// round-start assignment (the results are per-inequality AND-masks), then
-/// merges the masks into the candidate vectors in fixed worklist order on
-/// the calling thread. Because each mask is a pure function of the
-/// round-start state and the merge order never depends on scheduling, the
-/// result is bit-identical for every thread count — and for
-/// `incremental_eval` on vs off, since a retracted snapshot product
-/// reproduces exactly the Eq. (9) product a full evaluation would compute
-/// (rounds/evaluations/updates agree too, not just the fixpoint).
-///
-/// When `options.num_threads != 1` a transient pool is spun up for this one
-/// call; long-lived consumers should hold a SimEngine, which owns a
-/// persistent pool (and the caches) and passes it to the overload below.
-Solution SolveSoi(const Soi& soi, const graph::GraphDatabase& db,
-                  const SolverOptions& options = {},
-                  const std::vector<util::BitVector>* initial = nullptr);
-
-/// Pool-reusing overload: evaluates rounds through `pool` when it is
-/// non-null, inline otherwise. `options.num_threads` is ignored in favor of
-/// the pool actually passed. `control` (borrowed, may be null) is checked
-/// at round boundaries; see SolveControl.
-Solution SolveSoi(const Soi& soi, const graph::GraphDatabase& db,
-                  const SolverOptions& options,
-                  const std::vector<util::BitVector>* initial,
-                  util::ThreadPool* pool,
-                  const SolveControl* control = nullptr);
-
-/// Warm-start entry point (sim::StandingQuery): like the pool overload of
-/// SolveSoi, plus a WarmStart that seeds the first round's worklist with
-/// only the armed inequalities and threads incremental state across
-/// solves. `warm == nullptr` (or a default WarmStart) degrades to the
-/// plain solve. With an all-false arming mask and an `initial` equal to a
-/// converged fixpoint the solve performs zero rounds — a no-op delta is
-/// free.
-///
-/// `scratch` (borrowed, may be null) is a recyclable workspace: non-null
-/// runs the solve on the scratch's buffers and leaves them prepared for
-/// the next same-width solve; null allocates a transient workspace through
-/// the identical code path, so pooled and unpooled solves differ only in
-/// where the buffers came from.
-Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
-                      const SolverOptions& options,
-                      const std::vector<util::BitVector>* initial,
-                      util::ThreadPool* pool, const SolveControl* control,
-                      const WarmStart* warm, SolveScratch* scratch = nullptr);
 
 }  // namespace sparqlsim::sim

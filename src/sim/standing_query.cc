@@ -52,13 +52,12 @@ StandingQuery::StandingQuery(
         BuildSoiFromPattern(*branch, *snapshot_));
     // Even the registration solve threads the carry, so the first delta
     // already retracts from products synchronized at this fixpoint.
-    WarmStart warm;
-    warm.carry = &b.carry;
-    b.solution = SolveSoiWarm(*b.soi, *snapshot_, options_.solver,
-                              /*initial=*/nullptr, pool_.get(),
-                              /*control=*/nullptr, &warm, scratch_.get());
+    b.solution = SolveSoi(*b.soi, *snapshot_, options_.solver,
+                          {.pool = pool_.get(),
+                           .scratch = scratch_.get(),
+                           .carry = &b.carry});
     stats.Accumulate(b.solution.stats);
-    ExtractTriples(b, *snapshot_);
+    ExtractKeptTriples(*b.soi, b.solution, *snapshot_, &b.kept);
     branches_.push_back(std::move(b));
   }
   RebuildReport(stats, timer.ElapsedSeconds());
@@ -209,11 +208,10 @@ void StandingQuery::MaintainBranch(BranchState& b,
     // Cold solve, still threading the (cleared) carry so the *next* delta
     // retracts from products synchronized at this fixpoint.
     b.carry.Clear();
-    WarmStart warm;
-    warm.carry = &b.carry;
-    solved = SolveSoiWarm(soi, next, options_.solver, /*initial=*/nullptr,
-                          pool_.get(), /*control=*/nullptr, &warm,
-                          scratch_.get());
+    solved = SolveSoi(soi, next, options_.solver,
+                      {.pool = pool_.get(),
+                       .scratch = scratch_.get(),
+                       .carry = &b.carry});
     ++stats_.recomputed;
   } else {
     // Arm: inequalities reading a dirty matrix; inequalities whose lhs is
@@ -260,40 +258,21 @@ void StandingQuery::MaintainBranch(BranchState& b,
     }
 
     stats_.carried_entries += b.carry.LiveEntries();
-    WarmStart warm;
-    warm.armed = &armed;
-    warm.carry = &b.carry;
-    warm.carry_invalid = &carry_invalid;
-    solved = SolveSoiWarm(soi, next, options_.solver, &start, pool_.get(),
-                          /*control=*/nullptr, &warm, scratch_.get());
+    solved = SolveSoi(soi, next, options_.solver,
+                      {.initial = &start,
+                       .pool = pool_.get(),
+                       .scratch = scratch_.get(),
+                       .armed = &armed,
+                       .carry = &b.carry,
+                       .carry_invalid = &carry_invalid});
     ++stats_.maintained;
     stats_.armed_ineqs += armed_count;
     stats_.total_ineqs += num_ineqs;
   }
   stats->Accumulate(solved.stats);
   b.solution = std::move(solved);
-  ExtractTriples(b, next);
-}
-
-void StandingQuery::ExtractTriples(BranchState& b,
-                                   const graph::GraphDatabase& db) {
-  graph::ResidencyPin residency_pin = db.PinResidency();
   b.kept.clear();
-  const Soi& soi = *b.soi;
-  for (const Soi::Edge& e : soi.edges) {
-    if (e.predicate == kEmptyPredicate) continue;
-    const util::BitVector& subjects = b.solution.candidates[e.subject_var];
-    const util::BitVector& objects = b.solution.candidates[e.object_var];
-    if (subjects.None() || objects.None()) continue;
-    const util::BitMatrix& fwd = db.Forward(e.predicate);
-    subjects.ForEachSetBit([&](uint32_t s) {
-      for (uint32_t o : fwd.Row(s)) {
-        if (objects.Test(o)) {
-          b.kept.push_back({s, e.predicate, o});
-        }
-      }
-    });
-  }
+  ExtractKeptTriples(soi, b.solution, next, &b.kept);
 }
 
 void StandingQuery::RebuildReport(const SolveStats& stats, double seconds) {
@@ -301,22 +280,12 @@ void StandingQuery::RebuildReport(const SolveStats& stats, double seconds) {
   report_.snapshot_generation = snapshot_->generation();
   report_.num_branches = branches_.size();
   report_.stats = stats;
-  const size_t n = snapshot_->NumNodes();
+  std::vector<SolvedBranch> solved;
+  solved.reserve(branches_.size());
   for (const BranchState& b : branches_) {
-    for (const auto& [var, groups] : b.soi->query_var_groups) {
-      auto [it, inserted] =
-          report_.var_candidates.try_emplace(var, util::BitVector(n));
-      for (uint32_t g : groups) {
-        it->second.OrWith(b.solution.candidates[g]);
-      }
-    }
-    report_.kept_triples.insert(report_.kept_triples.end(), b.kept.begin(),
-                                b.kept.end());
+    solved.push_back({b.soi.get(), &b.solution, &b.kept});
   }
-  std::sort(report_.kept_triples.begin(), report_.kept_triples.end());
-  report_.kept_triples.erase(
-      std::unique(report_.kept_triples.begin(), report_.kept_triples.end()),
-      report_.kept_triples.end());
+  MergeBranches(solved, snapshot_->NumNodes(), &report_);
   report_.total_seconds = seconds;
 }
 

@@ -166,12 +166,8 @@ class StandingQuery {
                       const std::vector<bool>& dirty, GrownFn&& grown,
                       SolveStats* stats);
 
-  /// Re-extracts the branch's kept triples against `db` (the Sect. 5
-  /// extraction, same loop as SimEngine::ProcessBranch).
-  static void ExtractTriples(BranchState& b, const graph::GraphDatabase& db);
-
-  /// Reassembles report_ from the per-branch state (the single-writer
-  /// merge of SimEngine::Prune, minus the concurrency).
+  /// Reassembles report_ from the per-branch state through
+  /// MergeBranches, the branch merge SimEngine::Prune uses.
   void RebuildReport(const SolveStats& stats, double seconds);
 
   StandingQueryOptions options_;

@@ -56,10 +56,10 @@ class ThreadPool {
 /// Properties the SOI solver relies on:
 ///  * The *calling thread participates*: it claims iterations from the same
 ///    shared counter as the workers. This makes nesting deadlock-free — a
-///    pool task may itself call ParallelFor on the same pool (the pruner's
-///    branch tasks do exactly that for their fixpoint rounds) because the
-///    nested call makes progress even if every helper task sits behind
-///    blocked queue entries.
+///    pool task may itself call ParallelFor on the same pool
+///    (SimEngine::Prune's branch tasks do exactly that for their fixpoint
+///    rounds) because the nested call makes progress even if every helper
+///    task sits behind blocked queue entries.
 ///  * Iterations are claimed dynamically, so the *assignment* of i to
 ///    threads is nondeterministic; callers must write results into
 ///    per-iteration slots and merge them on the calling thread afterwards

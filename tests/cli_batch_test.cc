@@ -139,6 +139,26 @@ TEST_F(CliBatchTest, BadQueryFileFailsLoudly) {
   EXPECT_NE(code, 0);
 }
 
+TEST_F(CliBatchTest, NumericFlagsTakePlainCountsOnly) {
+  // A sign or a leading blank is a usage error with nothing on stdout, in
+  // both spellings; so is `-0`, although 0 is valid for every flag here
+  // but --repeat.
+  for (const std::string flag :
+       {"--threads", "--queue-depth", "--cache-capacity", "--repeat",
+        "--deadline-ms", "--resident-mb"}) {
+    for (const std::string bad : {"+2", " 2", "-0"}) {
+      for (const std::string& arg :
+           {flag + " '" + bad + "'", flag + "='" + bad + "'"}) {
+        int code = 0;
+        std::string out = RunCommand(
+            Batch() + " " + arg + " " + NtPath() + " " + QueriesPath(), &code);
+        EXPECT_EQ(code, 2) << arg;
+        EXPECT_EQ(out, "") << arg;
+      }
+    }
+  }
+}
+
 TEST_F(CliBatchTest, UnknownFlagIsUsageError) {
   int code = 0;
   RunCommand(Batch() + " --bogus " + NtPath() + " " + QueriesPath(), &code);

@@ -138,6 +138,22 @@ TEST_F(CliTest, BadInputsFailCleanly) {
                &code);
     EXPECT_NE(code, 0) << "SPARQLSIM_RESIDENT_MB=" << bad;
   }
+  // Numeric flags take plain decimal counts only: a sign or a leading
+  // blank is a usage error with nothing on stdout, in both spellings —
+  // `-0` too, although 0 itself is valid for every one of these flags.
+  for (const std::string flag :
+       {"--threads", "--cache-capacity", "--deadline-ms", "--resident-mb"}) {
+    for (const std::string bad : {"+2", " 2", "-0"}) {
+      for (const std::string& arg :
+           {flag + " '" + bad + "'", flag + "='" + bad + "'"}) {
+        std::string out = RunCommand(
+            std::string(SPARQLSIM_CLI) + " " + arg + " stats " + NtPath(),
+            &code);
+        EXPECT_EQ(code, 2) << arg;
+        EXPECT_EQ(out, "") << arg;
+      }
+    }
+  }
 }
 
 }  // namespace

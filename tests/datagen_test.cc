@@ -4,7 +4,6 @@
 #include "datagen/lubm.h"
 #include "datagen/queries.h"
 #include "engine/evaluator.h"
-#include "sim/pruner.h"
 #include "sparql/parser.h"
 
 namespace sparqlsim::datagen {

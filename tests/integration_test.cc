@@ -1,5 +1,5 @@
 // End-to-end integration at dataset scale: the full benchmark pipeline
-// (generator -> parser -> SOI -> solver -> pruner -> engine) on the
+// (generator -> parser -> SOI -> solver -> prune -> engine) on the
 // LUBM-like and DBpedia-like databases with the paper's query workloads.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,7 @@
 #include "datagen/queries.h"
 #include "engine/evaluator.h"
 #include "engine/required_triples.h"
-#include "sim/pruner.h"
+#include "sim/sim_engine.h"
 #include "sparql/parser.h"
 
 namespace sparqlsim {
@@ -62,8 +62,7 @@ void CheckQuery(const graph::GraphDatabase& db, const std::string& id,
   engine::Evaluator evaluator(&db);
   engine::SolutionSet rows = evaluator.EvaluatePattern(*query.where);
 
-  sim::SparqlSimProcessor processor(&db);
-  sim::PruneReport report = processor.Prune(query);
+  sim::PruneReport report = sim::SimEngine(&db).Prune(query);
 
   // (1) Candidates cover matches.
   for (size_t i = 0; i < rows.NumRows(); ++i) {
@@ -126,11 +125,9 @@ TEST_F(DbpediaPipeline, PruningIsIdempotent) {
   sparql::Query query =
       std::move(sparql::Parser::Parse(datagen::DbpediaQueries()[3].text))
           .value();
-  sim::SparqlSimProcessor processor(db_);
-  sim::PruneReport first = processor.Prune(query);
+  sim::PruneReport first = sim::SimEngine(db_).Prune(query);
   graph::GraphDatabase pruned = db_->Restrict(first.kept_triples);
-  sim::SparqlSimProcessor second_processor(&pruned);
-  sim::PruneReport second = second_processor.Prune(query);
+  sim::PruneReport second = sim::SimEngine(&pruned).Prune(query);
   EXPECT_EQ(first.kept_triples, second.kept_triples);
 }
 

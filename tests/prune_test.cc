@@ -1,4 +1,4 @@
-#include "sim/pruner.h"
+#include "sim/sim_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -44,8 +44,7 @@ void ExpectPrunePreservesResults(const graph::GraphDatabase& db,
   Evaluator full_eval(&db);
   SolutionSet full = full_eval.Evaluate(query);
 
-  SparqlSimProcessor processor(&db);
-  PruneReport report = processor.Prune(query);
+  PruneReport report = SimEngine(&db).Prune(query);
   graph::GraphDatabase pruned = db.Restrict(report.kept_triples);
   Evaluator pruned_eval(&pruned);
   SolutionSet on_pruned = pruned_eval.Evaluate(query);
@@ -60,8 +59,7 @@ void ExpectCandidatesCoverMatches(const graph::GraphDatabase& db,
                                   const sparql::Query& query) {
   Evaluator eval(&db);
   SolutionSet rows = eval.EvaluatePattern(*query.where);
-  SparqlSimProcessor processor(&db);
-  PruneReport report = processor.Prune(query);
+  PruneReport report = SimEngine(&db).Prune(query);
 
   for (size_t i = 0; i < rows.NumRows(); ++i) {
     for (size_t c = 0; c < rows.Arity(); ++c) {
@@ -80,8 +78,7 @@ TEST(PruneTest, MovieX1KeepsOnlyRelevantTriples) {
   sparql::Query q = Q(
       "SELECT * WHERE { ?director <directed> ?movie . "
       "?director <worked_with> ?coworker . }");
-  SparqlSimProcessor processor(&db);
-  PruneReport report = processor.Prune(q);
+  PruneReport report = SimEngine(&db).Prune(q);
   // Exactly the 4 triples of the two bold subgraphs of Fig. 1(a).
   EXPECT_EQ(report.kept_triples.size(), 4u);
   ExpectPrunePreservesResults(db, q);
@@ -93,8 +90,7 @@ TEST(PruneTest, MovieX2OptionalKeepsDirectorsWithoutCoworkers) {
   sparql::Query q = Q(
       "SELECT * WHERE { ?director <directed> ?movie . "
       "OPTIONAL { ?director <worked_with> ?coworker . } }");
-  SparqlSimProcessor processor(&db);
-  PruneReport report = processor.Prune(q);
+  PruneReport report = SimEngine(&db).Prune(q);
   // All four directed triples survive (optional must not constrain the
   // mandatory part), plus the two witnessed worked_with triples.
   EXPECT_EQ(report.kept_triples.size(), 6u);
@@ -105,8 +101,7 @@ TEST(PruneTest, MovieX2OptionalKeepsDirectorsWithoutCoworkers) {
 TEST(PruneTest, EmptyQueryPrunesEverything) {
   graph::GraphDatabase db = datagen::MakeMovieDatabase();
   sparql::Query q = Q("SELECT * WHERE { ?x <directed> <NoSuchMovie> . }");
-  SparqlSimProcessor processor(&db);
-  PruneReport report = processor.Prune(q);
+  PruneReport report = SimEngine(&db).Prune(q);
   EXPECT_TRUE(report.kept_triples.empty());
 }
 
@@ -115,8 +110,7 @@ TEST(PruneTest, UnionBranchesPruneIndependently) {
   sparql::Query q = Q(
       "SELECT * WHERE { { ?m <awarded> <Oscar> . } UNION "
       "{ ?m <awarded> <BAFTA Awards> . } }");
-  SparqlSimProcessor processor(&db);
-  PruneReport report = processor.Prune(q);
+  PruneReport report = SimEngine(&db).Prune(q);
   EXPECT_EQ(report.num_branches, 2u);
   EXPECT_EQ(report.kept_triples.size(), 3u);
   ExpectPrunePreservesResults(db, q);
@@ -133,8 +127,7 @@ TEST(PruneTest, PruneNeverBelowRequiredTriples) {
            "SELECT * WHERE { ?p <born_in> ?c . ?c <population> ?n . }",
        }) {
     sparql::Query q = Q(text);
-    SparqlSimProcessor processor(&db);
-    PruneReport report = processor.Prune(q);
+    PruneReport report = SimEngine(&db).Prune(q);
     Evaluator eval(&db);
     auto required = engine::CollectRequiredTriples(q, db, eval);
     std::set<graph::Triple> kept(report.kept_triples.begin(),
@@ -211,8 +204,7 @@ TEST_P(PruneSoundnessUnion, UnionQueriesStayExact) {
 
   Evaluator full_eval(&db);
   SolutionSet full = full_eval.Evaluate(q);
-  SparqlSimProcessor processor(&db);
-  PruneReport report = processor.Prune(q);
+  PruneReport report = SimEngine(&db).Prune(q);
   graph::GraphDatabase pruned = db.Restrict(report.kept_triples);
   SolutionSet on_pruned = Evaluator(&pruned).Evaluate(q);
   // Monotone fragment: exact equality of result multisets after dedupe.
@@ -238,8 +230,7 @@ TEST(PruneTest, NonWellDesignedOptionalOverapproximates) {
   Evaluator full_eval(&db);
   SolutionSet full = full_eval.Evaluate(q);
 
-  SparqlSimProcessor processor(&db);
-  PruneReport report = processor.Prune(q);
+  PruneReport report = SimEngine(&db).Prune(q);
   graph::GraphDatabase pruned = db.Restrict(report.kept_triples);
   SolutionSet on_pruned = Evaluator(&pruned).Evaluate(q);
 
@@ -268,8 +259,7 @@ TEST(PruneTest, ExactPrunedEvaluationRemovesOverapproximation) {
   Evaluator full_eval(&db);
   SolutionSet full = full_eval.Evaluate(q);
 
-  SparqlSimProcessor processor(&db);
-  PruneReport report = processor.Prune(q);
+  PruneReport report = SimEngine(&db).Prune(q);
   graph::GraphDatabase pruned = db.Restrict(report.kept_triples);
 
   engine::EvaluatorOptions exact;
@@ -303,8 +293,7 @@ TEST_P(ExactPrunedEvaluation, RandomOptionalQueriesStayExact) {
   Evaluator full_eval(&db);
   SolutionSet full = full_eval.Evaluate(q);
 
-  SparqlSimProcessor processor(&db);
-  PruneReport report = processor.Prune(q);
+  PruneReport report = SimEngine(&db).Prune(q);
   graph::GraphDatabase pruned = db.Restrict(report.kept_triples);
   engine::EvaluatorOptions exact;
   exact.optional_rhs_db = &db;
@@ -317,9 +306,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExactPrunedEvaluation,
 
 TEST(PruneStatsTest, ReportsTimingsAndBranches) {
   graph::GraphDatabase db = datagen::MakeMovieDatabase();
-  SparqlSimProcessor processor(&db);
   PruneReport report =
-      processor.Prune(Q("SELECT * WHERE { ?d <directed> ?m . }"));
+      SimEngine(&db).Prune(Q("SELECT * WHERE { ?d <directed> ?m . }"));
   EXPECT_EQ(report.num_branches, 1u);
   EXPECT_GE(report.total_seconds, 0.0);
   EXPECT_GE(report.stats.rounds, 1u);

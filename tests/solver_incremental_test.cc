@@ -189,9 +189,9 @@ TEST(IncrementalRestrictedSolves, InitialAssignmentRespected) {
     for (size_t i = 0; i < db.NumNodes(); i += 2) v.Set(i);
   }
 
-  Solution off =
-      SolveSoi(soi, db, MakeOptions(false, 1), &initial);
-  Solution on = SolveSoi(soi, db, MakeOptions(true, 1), &initial);
+  const SolveRequest request{.initial = &initial};
+  Solution off = SolveSoi(soi, db, MakeOptions(false, 1), request);
+  Solution on = SolveSoi(soi, db, MakeOptions(true, 1), request);
   ASSERT_EQ(on.candidates.size(), off.candidates.size());
   for (size_t v = 0; v < off.candidates.size(); ++v) {
     EXPECT_EQ(on.candidates[v], off.candidates[v]) << "var " << v;

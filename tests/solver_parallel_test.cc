@@ -242,17 +242,20 @@ TEST(SoiCacheTest, DifferentDatabaseGenerationInvalidates) {
 
 TEST(SoiCacheTest, TruncatedRunsBypassTheSolutionLayer) {
   graph::GraphDatabase db = datagen::MakeMovieDatabase();
-  SolverOptions options;
-  options.max_rounds = 1;  // truncated: not the canonical fixpoint
-  SimEngine engine(&db, options);
+  SimEngine engine(&db, SolverOptions{});
   ASSERT_NE(engine.cache(), nullptr);
 
   auto parsed = sparql::Parser::Parse(
       "SELECT * WHERE { ?d <directed> ?m . ?d <worked_with> ?c . }");
   ASSERT_TRUE(parsed.ok());
   sparql::Query query = std::move(parsed).value();
-  engine.Prune(query);
-  engine.Prune(query);
+  // Pre-cancelled: each solve stops at its first round boundary, which is
+  // not the canonical fixpoint.
+  std::atomic<bool> cancel{true};
+  SolveControl control;
+  control.cancel = &cancel;
+  EXPECT_TRUE(engine.Prune(query, &control).truncated);
+  EXPECT_TRUE(engine.Prune(query, &control).truncated);
   EXPECT_EQ(engine.cache()->stats().solution_hits, 0u);
   EXPECT_EQ(engine.cache()->NumSolutions(), 0u);
   // The SOI layer is still valid (construction does not depend on rounds).

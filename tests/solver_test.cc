@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "datagen/movies.h"
 #include "datagen/random_graphs.h"
@@ -93,25 +96,6 @@ TEST(SolverTest, LongChainNeedsManyRounds) {
   }
 }
 
-TEST(SolverTest, MaxRoundsTruncates) {
-  graph::GraphDatabase db = ChainDb(20);
-  Soi soi = SoiFor(
-      "{ ?a <e> ?b . ?b <e> ?c . ?c <e> ?d . ?d <e> ?f . ?f <e> ?g . "
-      "?g <e> ?h . ?h <e> ?i . ?i <e> ?j . }",
-      db);
-  SolverOptions unbounded;
-  Solution full = SolveSoi(soi, db, unbounded);
-
-  SolverOptions capped;
-  capped.max_rounds = 1;
-  Solution partial = SolveSoi(soi, db, capped);
-  EXPECT_EQ(partial.stats.rounds, 1u);
-  // The capped run is an over-approximation of the fixpoint.
-  for (size_t v = 0; v < soi.NumVars(); ++v) {
-    EXPECT_TRUE(full.candidates[v].IsSubsetOf(partial.candidates[v]));
-  }
-}
-
 TEST(SolverTest, InitialAssignmentRestricts) {
   graph::GraphDatabase db = datagen::MakeMovieDatabase();
   Soi soi = SoiFor("{ ?d <directed> ?m . }", db);
@@ -130,13 +114,87 @@ TEST(SolverTest, InitialAssignmentRestricts) {
   initial[d_var].ClearAll();
   initial[d_var].Set(*db.nodes().Lookup("B. De Palma"));
 
-  Solution restricted = SolveSoi(soi, db, {}, &initial);
+  Solution restricted = SolveSoi(soi, db, {}, {.initial = &initial});
   EXPECT_EQ(restricted.candidates[d_var].Count(), 1u);
   for (size_t v = 0; v < soi.NumVars(); ++v) {
     EXPECT_TRUE(restricted.candidates[v].IsSubsetOf(full.candidates[v]));
   }
   std::string why;
   EXPECT_TRUE(SatisfiesSoi(soi, db, restricted.candidates, &why)) << why;
+}
+
+// ---------------------------------------------------------------------------
+// Warm starts: the SolveRequest inputs StandingQuery drives
+// ---------------------------------------------------------------------------
+
+/// Every fixpoint counter a trajectory comparison asserts.
+void ExpectSameTrajectory(const SolveStats& got, const SolveStats& want) {
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.evaluations, want.evaluations);
+  EXPECT_EQ(got.updates, want.updates);
+  EXPECT_EQ(got.row_evals, want.row_evals);
+  EXPECT_EQ(got.col_evals, want.col_evals);
+  EXPECT_EQ(got.delta_evals, want.delta_evals);
+  EXPECT_EQ(got.full_evals, want.full_evals);
+}
+
+/// SOIs that take several rounds: random patterns over a random database,
+/// plus a movie query with a constant, so the warm start's constant pin
+/// runs too.
+std::vector<std::pair<Soi, graph::GraphDatabase>> SeededSolveCases() {
+  std::vector<std::pair<Soi, graph::GraphDatabase>> cases;
+  for (uint64_t seed : {3, 9, 21}) {
+    datagen::RandomGraphConfig config;
+    config.num_nodes = 150;
+    config.num_edges = 600;
+    config.num_labels = 3;
+    config.seed = seed;
+    graph::GraphDatabase db = datagen::MakeRandomDatabase(config);
+    Soi soi = BuildSoiFromGraph(datagen::MakeRandomPattern(6, 4, 3, seed));
+    cases.emplace_back(std::move(soi), std::move(db));
+  }
+  graph::GraphDatabase movies = datagen::MakeMovieDatabase();
+  Soi soi = SoiFor(
+      "{ ?d <directed> ?m . ?m <awarded> <Oscar> . ?d <worked_with> ?c . }",
+      movies);
+  cases.emplace_back(std::move(soi), std::move(movies));
+  return cases;
+}
+
+TEST(SolverTest, UnarmedSolveFromAFixpointRunsZeroRounds) {
+  // solver.h: with an all-false arming mask and `initial` equal to a
+  // converged fixpoint the solve performs zero rounds — a no-op delta is
+  // free.
+  for (const auto& [soi, db] : SeededSolveCases()) {
+    Solution cold = SolveSoi(soi, db);
+    ASSERT_FALSE(cold.truncated);
+    EXPECT_GE(cold.stats.rounds, 2u);
+    const std::vector<bool> none(
+        soi.matrix_ineqs.size() + soi.sub_ineqs.size(), false);
+    Solution warm =
+        SolveSoi(soi, db, {}, {.initial = &cold.candidates, .armed = &none});
+    EXPECT_EQ(warm.stats.rounds, 0u);
+    EXPECT_EQ(warm.stats.evaluations, 0u);
+    EXPECT_FALSE(warm.truncated);
+    EXPECT_EQ(warm.candidates, cold.candidates);
+  }
+}
+
+TEST(SolverTest, FullyArmedSolveFromAllOnesIsTheColdSolve) {
+  // An all-ones start re-derives the Eq. (12)/(13) initialization (the
+  // solver re-pins constants and re-ANDs the summaries), and arming every
+  // inequality is a full first round: fixpoint and trajectory are the
+  // cold solve's.
+  for (const auto& [soi, db] : SeededSolveCases()) {
+    Solution cold = SolveSoi(soi, db);
+    const std::vector<util::BitVector> ones(
+        soi.NumVars(), util::BitVector(db.NumNodes(), true));
+    const std::vector<bool> all(
+        soi.matrix_ineqs.size() + soi.sub_ineqs.size(), true);
+    Solution warm = SolveSoi(soi, db, {}, {.initial = &ones, .armed = &all});
+    EXPECT_EQ(warm.candidates, cold.candidates);
+    ExpectSameTrajectory(warm.stats, cold.stats);
+  }
 }
 
 TEST(SolverTest, StatsCountEvaluationModes) {

@@ -63,6 +63,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph_database.h"
@@ -281,13 +282,6 @@ int Run(int argc, char** argv) {
   const char* deltas_path = nullptr;
   std::vector<const char*> args;
 
-  auto parse_size = [](const char* text, size_t* out) {
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') return false;
-    *out = static_cast<size_t>(value);
-    return true;
-  };
   auto flag_value = [&](int& i, const char* name,
                         const char** out) -> bool {
     size_t len = std::strlen(name);
@@ -304,33 +298,24 @@ int Run(int argc, char** argv) {
     return true;
   };
 
+  // Numeric flags take plain decimal counts only (tools::ParseCount).
+  const std::pair<const char*, size_t*> count_flags[] = {
+      {"--threads", &options.num_workers},
+      {"--queue-depth", &options.queue_depth},
+      {"--cache-capacity", &options.cache_capacity},
+      {"--repeat", &repeat},
+      {"--deadline-ms", &deadline_ms},
+  };
+
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
-    if (!flag_value(i, "--threads", &value)) return Usage();
-    if (value != nullptr) {
-      if (!parse_size(value, &options.num_workers)) return Usage();
-      continue;
+    for (const auto& [name, out] : count_flags) {
+      if (!flag_value(i, name, &value)) return Usage();
+      if (value == nullptr) continue;
+      if (!tools::ParseCountFlag(name, value, out)) return Usage();
+      break;
     }
-    if (!flag_value(i, "--queue-depth", &value)) return Usage();
-    if (value != nullptr) {
-      if (!parse_size(value, &options.queue_depth)) return Usage();
-      continue;
-    }
-    if (!flag_value(i, "--cache-capacity", &value)) return Usage();
-    if (value != nullptr) {
-      if (!parse_size(value, &options.cache_capacity)) return Usage();
-      continue;
-    }
-    if (!flag_value(i, "--repeat", &value)) return Usage();
-    if (value != nullptr) {
-      if (!parse_size(value, &repeat) || repeat == 0) return Usage();
-      continue;
-    }
-    if (!flag_value(i, "--deadline-ms", &value)) return Usage();
-    if (value != nullptr) {
-      if (!parse_size(value, &deadline_ms)) return Usage();
-      continue;
-    }
+    if (value != nullptr) continue;
     if (!flag_value(i, "--priority", &value)) return Usage();
     if (value != nullptr) {
       if (std::strcmp(value, "high") == 0) {
@@ -389,6 +374,8 @@ int Run(int argc, char** argv) {
     if (std::strncmp(argv[i], "--", 2) == 0) return Usage();
     args.push_back(argv[i]);
   }
+
+  if (repeat == 0) return Usage();
 
   const char* query_path = nullptr;
   std::optional<graph::GraphDatabase> db;

@@ -214,7 +214,7 @@ int CmdBench(const sim::SimEngine& engine, const sparql::Query& query) {
   }
 
   util::Stopwatch watch;
-  sim::Solution soi = engine.SolvePattern(*query.where);
+  sim::Solution soi = engine.Solve(sim::BuildSoiFromPattern(*query.where, db));
   double t_soi = watch.ElapsedSeconds();
 
   std::vector<sparql::Term> node_terms;
@@ -260,21 +260,13 @@ int Run(int argc, char** argv) {
   auto priority = util::AdmissionGate::Priority::kHigh;
   bool use_service = false;  // --deadline-ms/--priority route via the service
   std::vector<const char*> args;
-  auto parse_size_flag = [](const char* text, const char* name, size_t* out) {
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-      std::fprintf(stderr, "invalid %s value '%s'\n", name, text);
-      return false;
-    }
-    *out = static_cast<size_t>(value);
-    return true;
-  };
   auto parse_threads = [&](const char* text) {
-    return parse_size_flag(text, "--threads", &options.num_threads);
+    return tools::ParseCountFlag("--threads", text, &options.num_threads);
   };
   auto parse_deadline = [&](const char* text) {
-    if (!parse_size_flag(text, "--deadline-ms", &deadline_ms)) return false;
+    if (!tools::ParseCountFlag("--deadline-ms", text, &deadline_ms)) {
+      return false;
+    }
     use_service = true;
     return true;
   };
@@ -298,16 +290,6 @@ int Run(int argc, char** argv) {
       return false;
     }
     resident_mb = text;
-    return true;
-  };
-  auto parse_capacity = [&](const char* text) {
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-      std::fprintf(stderr, "invalid --cache-capacity value '%s'\n", text);
-      return false;
-    }
-    options.cache_capacity = static_cast<size_t>(value);
     return true;
   };
   for (int i = 1; i < argc; ++i) {
@@ -337,11 +319,18 @@ int Run(int argc, char** argv) {
       continue;
     }
     if (std::strcmp(argv[i], "--cache-capacity") == 0) {
-      if (i + 1 >= argc || !parse_capacity(argv[++i])) return Usage();
+      if (i + 1 >= argc ||
+          !tools::ParseCountFlag("--cache-capacity", argv[++i],
+                                 &options.cache_capacity)) {
+        return Usage();
+      }
       continue;
     }
     if (std::strncmp(argv[i], "--cache-capacity=", 17) == 0) {
-      if (!parse_capacity(argv[i] + 17)) return Usage();
+      if (!tools::ParseCountFlag("--cache-capacity", argv[i] + 17,
+                                 &options.cache_capacity)) {
+        return Usage();
+      }
       continue;
     }
     if (std::strcmp(argv[i], "--cache") == 0) {

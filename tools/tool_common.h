@@ -30,6 +30,18 @@ inline std::optional<size_t> ParseCount(std::string_view text) {
   return value;
 }
 
+/// ParseCount for the text of flag (or environment variable) `name`:
+/// stores the value in *out, or prints a diagnostic and returns false.
+inline bool ParseCountFlag(const char* name, const char* text, size_t* out) {
+  const std::optional<size_t> value = ParseCount(text);
+  if (!value) {
+    std::fprintf(stderr, "invalid %s value '%s'\n", name, text);
+    return false;
+  }
+  *out = *value;
+  return true;
+}
+
 /// Parses a size given in MiB (--resident-mb, SPARQLSIM_RESIDENT_MB,
 /// --chunk-mb) into bytes. ParseCount's rules, and the byte count must
 /// fit in size_t, so a huge value never wraps into a tiny size.
