@@ -1,6 +1,5 @@
 // Shared helpers for the table/figure reproduction benches: dataset
-// construction scaled by environment variables, query parsing, and the
-// BGP -> pattern-graph conversion the baseline algorithms consume.
+// construction scaled by environment variables and query parsing.
 #pragma once
 
 #include <cstdio>
@@ -15,10 +14,7 @@
 #include "datagen/lubm.h"
 #include "datagen/queries.h"
 #include "graph/binary_io.h"
-#include "graph/graph.h"
 #include "graph/graph_database.h"
-#include "sim/soi.h"
-#include "sparql/ast.h"
 #include "sparql/parser.h"
 #include "tools/tool_common.h"
 #include "util/stopwatch.h"
@@ -113,47 +109,6 @@ inline sparql::Query ParseOrDie(const std::string& text) {
     std::abort();
   }
   return std::move(r).value();
-}
-
-/// Converts a BGP to the pure pattern-graph form consumed by the baseline
-/// algorithms: labels are database predicate ids (kEmptyPredicate when the
-/// predicate is absent) and constant terms become pinned nodes.
-struct PatternWithConstants {
-  graph::Graph pattern;
-  std::vector<std::optional<uint32_t>> constants;
-  /// False iff some constant term is absent from the database, in which
-  /// case the largest dual simulation is empty without running anything.
-  bool satisfiable = true;
-};
-
-inline PatternWithConstants BgpToDataPattern(
-    const std::vector<sparql::TriplePattern>& bgp,
-    const graph::GraphDatabase& db) {
-  std::vector<sparql::Term> node_terms;
-  std::vector<std::string> label_names;
-  graph::Graph raw = sparql::BgpToGraph(bgp, &node_terms, &label_names);
-
-  PatternWithConstants out;
-  out.pattern = graph::Graph(raw.NumNodes());
-  std::vector<uint32_t> label_map(label_names.size());
-  for (size_t i = 0; i < label_names.size(); ++i) {
-    auto id = db.predicates().Lookup(label_names[i]);
-    label_map[i] = id ? *id : sim::kEmptyPredicate;
-  }
-  for (const graph::LabeledEdge& e : raw.edges()) {
-    out.pattern.AddEdge(e.from, label_map[e.label], e.to);
-  }
-  out.constants.resize(raw.NumNodes());
-  for (size_t v = 0; v < node_terms.size(); ++v) {
-    if (node_terms[v].IsVariable()) continue;
-    auto id = db.nodes().Lookup(node_terms[v].text());
-    if (id) {
-      out.constants[v] = *id;
-    } else {
-      out.satisfiable = false;  // unknown constant: no match possible
-    }
-  }
-  return out;
 }
 
 /// Runs fn `reps` times and returns the average seconds.

@@ -25,8 +25,8 @@ void RunWorkload(const char* dataset_name, const graph::GraphDatabase& db,
   for (const auto& [id, text] : queries) {
     sparql::Query query = bench::ParseOrDie(text);
     if (!query.where->IsBgp()) continue;
-    bench::PatternWithConstants p =
-        bench::BgpToDataPattern(query.where->triples(), db);
+    sim::PatternWithConstants p =
+        sim::BgpToDataPattern(query.where->triples(), db);
 
     double t_soi = bench::TimeAverage(
         [&] { engine.Solve(sim::BuildSoiFromPattern(*query.where, db)); });

@@ -76,35 +76,27 @@ struct Sample {
 
 struct WorkloadResult {
   std::string name;
-  bool incremental = true;
   size_t num_branches = 0;
   std::vector<Sample> samples;
 };
 
-/// Runs one workload across `thread_counts`. `reference` carries the flat
-/// candidate vectors of the first run ever made for this workload: passing
-/// the same vector to the incremental-on and -off passes extends the
-/// bit-exactness check across the incremental toggle, not just across
-/// thread counts.
+/// Runs one workload across `thread_counts`, checking every run bit-exact
+/// against the first.
 WorkloadResult RunWorkload(const char* name, const graph::GraphDatabase& db,
                            const sparql::Query& query,
-                           const std::vector<size_t>& thread_counts,
-                           bool incremental,
-                           std::vector<util::BitVector>* reference_io) {
+                           const std::vector<size_t>& thread_counts) {
   WorkloadResult result;
   result.name = name;
-  result.incremental = incremental;
 
-  std::printf("\n%s%s:\n", name, incremental ? "" : " (incremental off)");
+  std::printf("\n%s:\n", name);
   std::printf("  %-8s %12s %9s %10s %12s %10s\n", "threads", "time(s)",
               "speedup", "par.rounds", "round-width", "branches");
 
-  std::vector<util::BitVector>& reference = *reference_io;
+  std::vector<util::BitVector> reference;
   double base_seconds = 0;
   for (size_t threads : thread_counts) {
     sim::SolverOptions options;
     options.num_threads = threads;
-    options.incremental_eval = incremental;
     options.cache_sois = false;  // measure solving, not cache hits
     options.cache_solutions = false;
     sim::SimEngine engine(&db, options);
@@ -113,16 +105,14 @@ WorkloadResult RunWorkload(const char* name, const graph::GraphDatabase& db,
     double seconds =
         bench::TimeAverage([&] { report = engine.Prune(query); });
 
-    // Bit-exact determinism check across thread counts *and* across the
-    // incremental on/off passes (shared reference).
+    // Bit-exact determinism check across thread counts.
     std::vector<util::BitVector> flat;
     for (const auto& [var, bits] : report.var_candidates) flat.push_back(bits);
     if (reference.empty()) {
       reference = flat;
     } else if (flat != reference) {
-      std::fprintf(stderr,
-                   "FATAL: results differ at %zu threads (incremental %d)\n",
-                   threads, incremental ? 1 : 0);
+      std::fprintf(stderr, "FATAL: results differ at %zu threads\n",
+                   threads);
       std::abort();
     }
     if (base_seconds == 0) base_seconds = seconds;
@@ -146,10 +136,8 @@ void WriteJson(const std::vector<WorkloadResult>& results, FILE* out) {
   for (size_t w = 0; w < results.size(); ++w) {
     const WorkloadResult& r = results[w];
     std::fprintf(out,
-                 "    {\"name\": \"%s\", \"incremental\": %s, "
-                 "\"branches\": %zu, \"samples\": [",
-                 r.name.c_str(), r.incremental ? "true" : "false",
-                 r.num_branches);
+                 "    {\"name\": \"%s\", \"branches\": %zu, \"samples\": [",
+                 r.name.c_str(), r.num_branches);
     for (size_t i = 0; i < r.samples.size(); ++i) {
       const Sample& s = r.samples[i];
       std::fprintf(out,
@@ -182,23 +170,10 @@ int Run(int argc, char** argv) {
   if (hw > 4) thread_counts.push_back(hw);
 
   std::vector<WorkloadResult> results;
-  std::vector<util::BitVector> union_reference;
-  std::vector<util::BitVector> wide_reference;
   results.push_back(RunWorkload("multi-branch (UNION batching)", db,
-                                union_query, thread_counts,
-                                /*incremental=*/true, &union_reference));
+                                union_query, thread_counts));
   results.push_back(RunWorkload("multi-inequality (parallel rounds)", db,
-                                wide_query, thread_counts,
-                                /*incremental=*/true, &wide_reference));
-  // Same workloads with delta-driven evaluation off: the algorithmic
-  // (thread-independent) comparison, checked bit-identical against the
-  // incremental passes above through the shared references.
-  results.push_back(RunWorkload("multi-branch (UNION batching)", db,
-                                union_query, thread_counts,
-                                /*incremental=*/false, &union_reference));
-  results.push_back(RunWorkload("multi-inequality (parallel rounds)", db,
-                                wide_query, thread_counts,
-                                /*incremental=*/false, &wide_reference));
+                                wide_query, thread_counts));
 
   const char* json_path = std::getenv("SPARQLSIM_BENCH_JSON");
   if (json_path != nullptr) {

@@ -43,8 +43,8 @@ int Run(int argc, char** argv) {
       soi_solution = engine.Solve(sim::BuildSoiFromPattern(*query.where, db));
     });
 
-    bench::PatternWithConstants data_pattern =
-        bench::BgpToDataPattern(query.where->triples(), db);
+    sim::PatternWithConstants data_pattern =
+        sim::BgpToDataPattern(query.where->triples(), db);
     sim::Solution ma_solution;
     double t_ma = bench::TimeAverage([&] {
       if (data_pattern.satisfiable) {

@@ -1,8 +1,32 @@
 #include "sim/ma_baseline.h"
 
+#include <string>
+
+#include "sim/soi.h"
 #include "util/stopwatch.h"
 
 namespace sparqlsim::sim {
+
+PatternWithConstants BgpToDataPattern(
+    const std::vector<sparql::TriplePattern>& bgp,
+    const graph::GraphDatabase& db) {
+  std::vector<sparql::Term> terms;
+  std::vector<std::string> labels;
+  const graph::Graph raw = sparql::BgpToGraph(bgp, &terms, &labels);
+  const size_t k = raw.NumNodes();
+  PatternWithConstants out{graph::Graph(k),
+                           std::vector<std::optional<uint32_t>>(k)};
+  for (const graph::LabeledEdge& e : raw.edges()) {
+    const std::optional<uint32_t> id = db.predicates().Lookup(labels[e.label]);
+    out.pattern.AddEdge(e.from, id.value_or(kEmptyPredicate), e.to);
+  }
+  for (size_t v = 0; v < terms.size(); ++v) {
+    if (terms[v].IsVariable()) continue;
+    out.constants[v] = db.nodes().Lookup(terms[v].text());
+    if (!out.constants[v]) out.satisfiable = false;
+  }
+  return out;
+}
 
 Solution MaDualSimulation(
     const graph::Graph& pattern, const graph::GraphDatabase& db,

@@ -6,8 +6,23 @@
 #include "graph/graph.h"
 #include "graph/graph_database.h"
 #include "sim/solver.h"
+#include "sparql/ast.h"
 
 namespace sparqlsim::sim {
+
+/// A BGP in the pattern-graph form both baselines take: labels are
+/// database predicate ids (kEmptyPredicate when absent), constant terms
+/// are pinned nodes. `satisfiable` is false iff some constant is absent
+/// from the database: the largest dual simulation is then empty, and the
+/// baselines, which cannot pin a node to nothing, must not be run.
+struct PatternWithConstants {
+  graph::Graph pattern;
+  std::vector<std::optional<uint32_t>> constants;
+  bool satisfiable = true;
+};
+PatternWithConstants BgpToDataPattern(
+    const std::vector<sparql::TriplePattern>& bgp,
+    const graph::GraphDatabase& db);
 
 /// The dual simulation algorithm of Ma et al. [20], adapted to the labeled
 /// pattern-vs-data setting exactly as the paper's Table 2 comparison does.

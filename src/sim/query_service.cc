@@ -73,8 +73,13 @@ std::future<PruneReport> QueryService::Submit(const sparql::Query& query,
     // Deadline path: the budget starts now (queueing counts against it),
     // and the solve is solo — a truncated report is only ever delivered to
     // the submission that asked for the deadline, and dedup waiters are
-    // never slowed down by a budgeted run or served its truncation.
-    const auto deadline = std::chrono::steady_clock::now() + *submit.deadline;
+    // never slowed down by a budgeted run or served its truncation. A
+    // budget past the clock's range saturates instead of overflowing.
+    const auto now = std::chrono::steady_clock::now();
+    const auto headroom =
+        std::chrono::duration_cast<std::chrono::milliseconds>(now.max() - now);
+    const auto deadline =
+        *submit.deadline < headroom ? now + *submit.deadline : now.max();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++submitted_;

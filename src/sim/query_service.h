@@ -65,7 +65,8 @@ struct SubmitOptions {
   /// report comes back with `truncated` set — a sound over-approximation,
   /// never cached and never shared: a deadlined submission bypasses
   /// in-flight coalescing entirely, so it can neither serve another
-  /// waiter a truncated answer nor be slowed down by a shared solve.
+  /// waiter a truncated answer nor be slowed down by a shared solve. A
+  /// budget that ends past the steady clock's range never expires.
   std::optional<std::chrono::milliseconds> deadline;
 };
 

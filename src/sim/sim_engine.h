@@ -74,9 +74,10 @@ struct PruneReport {
 /// 1 = everything inline on the caller) and shared by every solve issued
 /// through the engine, including the nested per-round parallelism of
 /// branch-batched prunes. Determinism: results are bit-identical for any
-/// `num_threads` and for `incremental_eval` on/off — fixpoint trajectory
-/// included, so the cache layers may serve entries solved under either
-/// setting; see SolveSoi.
+/// `num_threads`, fixpoint trajectory included, so the cache layers may
+/// serve entries solved under any setting; see SolveSoi. Engine solves
+/// carry no IncrementalCarry, so they never take snapshot products: the
+/// snapshot tier is StandingQuery's alone.
 ///
 /// Caching: unless a shared cache is injected, the engine creates a private
 /// SoiCache when either cache toggle is set — bounded by

@@ -39,7 +39,8 @@ enum class EvalKind : uint8_t {
 };
 
 /// Per-matrix-inequality incremental state (the snapshot tier),
-/// persistent across rounds.
+/// persistent across rounds; only solves handed an IncrementalCarry keep
+/// one.
 ///
 /// Every full row-wise evaluation keeps its product and the selection it
 /// was computed from (two bit-vector copies, a negligible premium over the
@@ -111,12 +112,6 @@ struct SolveScratch::Impl {
   std::vector<std::vector<uint32_t>> dependents;
   std::vector<uint32_t> order;
   Work work;
-  /// Incremental state for carry-less solves only. A solve threaded
-  /// through an IncrementalCarry keeps its IneqStates in a solve-local
-  /// vector instead (the carry-ownership rule): the carry deposit moves
-  /// that vector out, so recycling this scratch can never dangle buffers
-  /// under a carry that outlives it.
-  std::vector<IneqState> ineq_state;
 
   /// Per-round slot vectors, lazily grown to the widest round seen.
   /// Recycled entries hold stale content by design: every slot a round
@@ -190,7 +185,6 @@ void SolveStats::Accumulate(const SolveStats& other) {
   col_evals += other.col_evals;
   solve_seconds += other.solve_seconds;
   delta_evals += other.delta_evals;
-  full_evals += other.full_evals;
   cols_cleared += other.cols_cleared;
   blocks_skipped += other.blocks_skipped;
   parallel_rounds += other.parallel_rounds;
@@ -343,51 +337,26 @@ Solution SolveSoi(const Soi& soi, const graph::GraphDatabase& db,
   work.queued.Resize(num_ineqs);
   work.queued.ClearAll();
 
-  // Per-matrix-inequality snapshot state; see IneqState. Allocated once,
-  // lazily populated — or adopted from the request's carry, minus the
-  // entries the caller declared stale, so retractions resume from products
-  // synchronized during the previous converged solve of this Soi.
-  //
-  // Carry-ownership rule: a solve that may deposit its states into an
-  // IncrementalCarry works on a solve-local vector (`owned_states`), never
-  // the scratch's slots — the deposit moves the vector out, and a carry
-  // holding pointers into pooled scratch would dangle the moment the
-  // scratch is recycled by another query. Only carry-free incremental
-  // solves run on S.ineq_state; their recycled entries get the validity
-  // flag reset so stale snapshots are rebuilt before first read (the
-  // retained buffers are what makes the reuse pay).
-  IncrementalCarry* carry = options.incremental_eval ? request.carry : nullptr;
-  std::vector<IneqState> owned_states;
+  // Per-matrix-inequality snapshot state (see IneqState), kept only under
+  // a carry: lazily populated, or adopted from the carry minus the entries
+  // the caller declared stale, so retractions resume from products
+  // synchronized during the previous converged solve of this Soi. The
+  // vector is solve-local, never the scratch's (the carry-ownership rule):
+  // the deposit moves it out, and a carry holding buffers of a pooled
+  // scratch would dangle the moment another query recycles the scratch.
+  IncrementalCarry* const carry = request.carry;
+  std::vector<IneqState> inc_state;
   if (carry != nullptr) {
-    owned_states.resize(num_matrix);
-  } else if (options.incremental_eval) {
-    if (S.ineq_state.size() < num_matrix) {
-      grew = true;
-      S.ineq_state.resize(num_matrix);
-    }
-    for (size_t i = 0; i < num_matrix; ++i) {
-      S.ineq_state[i].last_count = 0;
-      S.ineq_state[i].product_valid = false;
-    }
-  }
-  std::vector<IneqState>& inc_state =
-      (carry != nullptr || !options.incremental_eval) ? owned_states
-                                                      : S.ineq_state;
-  if (request.carry != nullptr && carry == nullptr) {
-    // incremental_eval off: whatever the carry holds is from a different
-    // configuration and must not survive into a later incremental solve.
-    request.carry->Clear();
-  }
-
-  if (carry != nullptr && carry->impl_ != nullptr) {
-    IncrementalCarry::Impl& held = *carry->impl_;
-    if (held.states.size() == num_matrix) {
-      inc_state = std::move(held.states);
+    if (carry->impl_ != nullptr &&
+        carry->impl_->states.size() == num_matrix) {
+      inc_state = std::move(carry->impl_->states);
       if (request.carry_invalid != nullptr) {
         for (size_t i = 0; i < num_matrix; ++i) {
           if ((*request.carry_invalid)[i]) inc_state[i] = IneqState{};
         }
       }
+    } else {
+      inc_state.resize(num_matrix);
     }
     // Moved-from or shape-mismatched state must not be adopted twice.
     carry->impl_.reset();
@@ -469,7 +438,7 @@ Solution SolveSoi(const Soi& soi, const graph::GraphDatabase& db,
     // fewer than what the chosen full strategy would touch. The monotone
     // shrink makes the removal count an exact count difference — no set
     // difference is needed to *decide*.
-    IneqState* st = options.incremental_eval ? &inc_state[idx] : nullptr;
+    IneqState* st = carry != nullptr ? &inc_state[idx] : nullptr;
     if (st != nullptr && st->product_valid) {
       const size_t removed = st->last_count - counts[m.rhs];
       const size_t full_cost = row_wise ? counts[m.rhs] : counts[m.lhs];
@@ -562,25 +531,20 @@ Solution SolveSoi(const Soi& soi, const graph::GraphDatabase& db,
       bool changed = false;
       switch (kinds[k]) {
         case EvalKind::kSkip:
-          ++stats.full_evals;
           continue;
         case EvalKind::kClear:
-          ++stats.full_evals;
           changed = chi[lhs].Any();
           if (changed) chi[lhs].ClearAll();
           break;
         case EvalKind::kRow:
-          ++stats.full_evals;
           ++stats.row_evals;
           changed = chi[lhs].AndWith(*mask_ptrs[k]);
           break;
         case EvalKind::kCol:
-          ++stats.full_evals;
           ++stats.col_evals;
           changed = chi[lhs].AndWith(*mask_ptrs[k]);
           break;
         case EvalKind::kSub:
-          ++stats.full_evals;
           changed = chi[lhs].AndWith(*mask_ptrs[k]);
           break;
         case EvalKind::kDelta:
@@ -638,10 +602,6 @@ Solution SolveSoi(const Soi& soi, const graph::GraphDatabase& db,
   }
   for (const util::BitVector& g : gone) {
     payload += g.WordCount() * sizeof(uint64_t);
-  }
-  for (const IneqState& st : S.ineq_state) {
-    payload +=
-        (st.product.WordCount() + st.last_rhs.WordCount()) * sizeof(uint64_t);
   }
   S.payload_bytes = payload;
   S.universe = n;

@@ -36,20 +36,6 @@ struct SolverOptions {
   /// most empty columns (highest pruning potential) come first.
   bool order_by_sparsity = true;
 
-  /// Delta-driven incremental re-evaluation of matrix inequalities. The
-  /// fixpoint shrinks candidate sets monotonically, so instead of
-  /// re-unioning every row selected by chi(rhs) on each re-evaluation, the
-  /// solver keeps each inequality's last row-wise product and, when the
-  /// removal delta is small, retracts from it only the columns reachable
-  /// from rows that *left* chi(rhs) since the product was taken, each
-  /// re-checked by one early-exit cover probe — work proportional to the
-  /// delta, not to nnz. A cost rule analogous to the row/column dynamic
-  /// rule picks delta vs full evaluation per inequality; results are
-  /// bit-identical either way (the retracted product is exactly the
-  /// Eq. (9) union), so this is purely a wall-clock knob, and off is the
-  /// differential oracle.
-  bool incremental_eval = true;
-
   /// Worker threads for the solving path: per-round parallel inequality
   /// evaluation and (through SimEngine) concurrent union-free branches.
   /// 0 means all hardware threads; 1 (the default) keeps everything on the
@@ -78,15 +64,15 @@ struct SolverOptions {
   /// cache carries its own SoiCache::Options.
   size_t cache_capacity = 0;
 
-  /// Recycle solve workspaces (chi sets, eval masks, per-inequality
-  /// incremental state, worklist vectors) across queries instead of
-  /// allocating and zero-filling them per solve. Honored by the owners of
-  /// scratch state — SimEngine's ScratchPool, QueryService's shared pool,
-  /// StandingQuery's per-query scratch, each handing SolveSoi a
-  /// SolveRequest::scratch. Results are bit-identical on or off (the
-  /// differential suites sweep this axis); off is the oracle configuration
-  /// and the CLI/batch `--no-scratch-pool` flag. SPARQLSIM_NO_SCRATCH=1
-  /// force-disables it for whole-suite differential runs.
+  /// Recycle solve workspaces (chi sets, eval masks, worklist vectors)
+  /// across queries instead of allocating and zero-filling them per solve.
+  /// Honored by the owners of scratch state — SimEngine's ScratchPool,
+  /// QueryService's shared pool, StandingQuery's per-query scratch, each
+  /// handing SolveSoi a SolveRequest::scratch. Results are bit-identical
+  /// on or off (the differential suites sweep this axis); off is the
+  /// oracle configuration and the CLI/batch `--no-scratch-pool` flag.
+  /// SPARQLSIM_NO_SCRATCH=1 force-disables it for whole-suite differential
+  /// runs.
   bool reuse_scratch = true;
 
   /// `reuse_scratch` with the SPARQLSIM_NO_SCRATCH override applied (the
@@ -133,16 +119,11 @@ struct SolveStats {
   size_t col_evals = 0;    // full column-wise evaluations
   double solve_seconds = 0.0;
 
-  /// Incremental-evaluation counters (SolverOptions::incremental_eval).
-  /// Every evaluation is either a delta evaluation (retraction of the
-  /// inequality's snapshot product) or a full one (row, column,
-  /// subordination, skip, clear), so
-  ///     delta_evals + full_evals == evaluations
-  /// holds for every run; with incremental_eval off, delta_evals == 0.
+  /// Snapshot-tier counters, nonzero only for solves handed an
+  /// IncrementalCarry (SolveRequest::carry): evaluations that retracted
+  /// the inequality's snapshot product instead of recomputing it (each
+  /// one replaces a row-wise product), and the columns they retracted.
   size_t delta_evals = 0;
-  size_t full_evals = 0;
-  /// Columns the delta evaluations retracted from their products — the
-  /// actual pruning work the deltas performed.
   size_t cols_cleared = 0;
   /// Zero 64-word blocks the hierarchical candidate vectors skipped in
   /// the single-threaded AND kernels (initialization + merge phases);
@@ -244,9 +225,12 @@ struct SolveRequest {
   /// internal handle space): true = place on the initial worklist. Null
   /// arms everything (plain solve semantics).
   const std::vector<bool>* armed = nullptr;
-  /// Incremental state carried from the previous converged solve of the
-  /// same Soi; may be null. Ignored — and cleared — when
-  /// options.incremental_eval is off.
+  /// The snapshot tier's one switch. A solve handed a carry keeps each
+  /// row-wise product with the selection it came from and, when few rows
+  /// have left that selection since, retracts them from the product
+  /// instead of recomputing it; it starts from the carry's entries and
+  /// deposits its own back at the fixpoint. Null — every solve but
+  /// StandingQuery's — runs the row/column rule alone.
   IncrementalCarry* carry = nullptr;
   /// Per-matrix-inequality staleness for `carry` (sized
   /// matrix_ineqs.size()): true = drop the carried entry — its matrix
@@ -270,10 +254,10 @@ struct SolveRequest {
 /// merges the masks into the candidate vectors in fixed worklist order on
 /// the calling thread. Because each mask is a pure function of the
 /// round-start state and the merge order never depends on scheduling, the
-/// result is bit-identical for every pool size — and for
-/// `incremental_eval` on vs off, since a retracted snapshot product
-/// reproduces exactly the Eq. (9) product a full evaluation would compute
-/// (rounds/evaluations/updates agree too, not just the fixpoint).
+/// result is bit-identical for every pool size — and with or without a
+/// carry, since a retracted snapshot product reproduces exactly the
+/// Eq. (9) product a full evaluation would compute (rounds/evaluations/
+/// updates agree too, not just the fixpoint).
 ///
 /// With an all-false arming mask and an `initial` equal to a converged
 /// fixpoint the solve performs zero rounds — a no-op delta is free.
@@ -281,15 +265,16 @@ Solution SolveSoi(const Soi& soi, const graph::GraphDatabase& db,
                   const SolverOptions& options = {},
                   const SolveRequest& request = {});
 
-/// Opaque per-inequality incremental-solver state (snapshot products and
-/// their synchronized selections) carried across
-/// solves of the *same* Soi instance — the state half of standing-query
-/// maintenance (sim::StandingQuery). A solve handed a carry through
-/// SolveRequest::carry adopts every entry the caller did not declare stale
-/// and, on reaching the fixpoint, deposits its final state back, so the
-/// next delta's retraction resumes from products synchronized during this
-/// solve instead of rebuilding them. Truncated solves deposit nothing
-/// (the carry is cleared: their state is not anchored to a fixpoint).
+/// Opaque per-inequality snapshot-tier state (snapshot products and their
+/// synchronized selections) carried across solves of the *same* Soi
+/// instance — the state half of standing-query maintenance
+/// (sim::StandingQuery), and the only place the tier runs. A solve handed
+/// a carry through SolveRequest::carry adopts every entry the caller did
+/// not declare stale and, on reaching the fixpoint, deposits its final
+/// state back, so the next delta's retraction resumes from products
+/// synchronized during this solve instead of rebuilding them. Truncated
+/// solves deposit nothing (the carry is cleared: their state is not
+/// anchored to a fixpoint).
 ///
 /// Not thread-safe; a carry belongs to exactly one solve at a time.
 class IncrementalCarry {
@@ -313,8 +298,7 @@ class IncrementalCarry {
 };
 
 /// One recyclable solve workspace: the chi candidate sets, per-inequality
-/// eval masks, the worklist, the incremental IneqState array (snapshot
-/// products and last-rhs vectors), and the delta buffers — everything
+/// eval masks, the worklist, and the retraction buffers — everything
 /// SolveSoi would otherwise allocate per call. A scratch is keyed by
 /// the node-universe width it was last prepared for: a solve on the same
 /// universe recycles every buffer (wiping them with the summary-guided
@@ -324,11 +308,11 @@ class IncrementalCarry {
 /// PruneReports, and fixpoint trajectories are bit-identical with and
 /// without recycling (the pool differential suites assert exactly that).
 ///
-/// Carry-ownership rule: when a solve is handed an IncrementalCarry (the
-/// StandingQuery path), its IneqState array lives in a solve-local vector
-/// that is moved into the carry at deposit time — never in the scratch —
-/// so recycling a scratch can never dangle buffers out from under a carry
-/// that outlives it.
+/// Carry-ownership rule: snapshot products exist only under an
+/// IncrementalCarry (the StandingQuery path), in a solve-local vector the
+/// carry hands in and receives back — never in the scratch — so recycling
+/// a scratch can never dangle buffers out from under a carry that
+/// outlives it.
 ///
 /// Not thread-safe; a scratch belongs to exactly one solve at a time.
 /// Acquire one from a ScratchPool (concurrent servers) or own one directly

@@ -28,9 +28,9 @@ struct TripleDelta {
 };
 
 struct StandingQueryOptions {
-  /// Per-solve policy (threads, incremental evaluation). The cache
-  /// toggles are ignored — a standing query *is* its own cache: it holds
-  /// the converged solution and incremental state per branch.
+  /// Per-solve policy (threads, evaluation strategy). The cache toggles
+  /// are ignored — a standing query *is* its own cache: it holds the
+  /// converged solution and incremental state per branch.
   SolverOptions solver;
 
   /// Escalation policy seam (the maintenance analogue of the solver's
@@ -90,8 +90,11 @@ struct StandingStats {
 /// The standing query pins a GraphDatabase snapshot and holds, per
 /// union-free branch of the query, its SOI, the converged Solution, the
 /// extracted kept-triples, and the solver's IncrementalCarry (snapshot
-/// products). Apply(delta) — or ApplySnapshot with a successor version
-/// from a COW publish chain — re-converges from that state:
+/// products). Every solve of a branch — registration, maintenance and
+/// recompute — is handed that carry, and the carry is what turns the
+/// solver's snapshot tier on: no solve outside a standing query takes
+/// snapshot products. Apply(delta) — or ApplySnapshot with a successor
+/// version from a COW publish chain — re-converges from that state:
 ///
 ///  * the per-predicate dirty set falls out of COW slab identity
 ///    (GraphDatabase::ChangedPredicates — pointer diff is content diff

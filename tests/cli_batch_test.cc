@@ -157,6 +157,36 @@ TEST_F(CliBatchTest, NumericFlagsTakePlainCountsOnly) {
       }
     }
   }
+  // So is a count past its bound, before the service starts a thread:
+  // --threads above 1024 (tools::kMaxThreads), a --repeat whose 3 x K
+  // submissions exceed 2^20 (SIZE_MAX used to abort reserving the
+  // futures), and --deadline-ms above the signed millisecond range.
+  for (const std::string arg :
+       {"--threads 1025", "--threads=18446744073709551615",
+        "--repeat 349526", "--repeat=18446744073709551615",
+        "--deadline-ms 9223372036854775808",
+        "--deadline-ms=18446744073709551615"}) {
+    int code = 0;
+    std::string out = RunCommand(
+        Batch() + " " + arg + " " + NtPath() + " " + QueriesPath(), &code);
+    EXPECT_EQ(code, 2) << arg;
+    EXPECT_EQ(out, "") << arg;
+  }
+}
+
+// A budget past the steady clock's range never expires: it used to
+// overflow the deadline and truncate every query before its first round.
+TEST_F(CliBatchTest, HugeDeadlineNeverTruncates) {
+  for (const std::string ms : {"10000000000000", "9223372036854775807"}) {
+    int code = 0;
+    std::string out = RunCommand(Batch() + " --deadline-ms " + ms + " " +
+                                     NtPath() + " " + QueriesPath(),
+                                 &code);
+    EXPECT_EQ(code, 0) << ms;
+    EXPECT_NE(out.find("q002"), std::string::npos) << out;
+    EXPECT_EQ(out.find("truncated]"), std::string::npos) << out;
+    EXPECT_NE(out.find("0 deadline-truncated"), std::string::npos) << out;
+  }
 }
 
 TEST_F(CliBatchTest, UnknownFlagIsUsageError) {

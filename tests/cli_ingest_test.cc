@@ -139,8 +139,10 @@ TEST_F(CliIngestTest, RejectsUsageErrors) {
 // Numeric flags and arguments must be plain decimal counts: a typo or a
 // trailing suffix used to be read as 0 or as its numeric prefix, and a
 // huge --chunk-mb wrapped into a tiny chunk size — each exiting 0 with
-// output written. Only rejected text is tried here: a large valid
-// --threads value would start that many threads.
+// output written. --threads is bounded by tools::kMaxThreads (1024):
+// SIZE_MAX used to abort in the thread pool's reserve. Only rejected
+// values are tried here: a large valid --threads value would start that
+// many threads.
 TEST_F(CliIngestTest, RejectsMalformedNumbers) {
   const char* tiny = "/tmp/sparqlsim_ingest_numbers.nt";
   const char* out = "/tmp/sparqlsim_ingest_numbers.gdb";
@@ -154,7 +156,7 @@ TEST_F(CliIngestTest, RejectsMalformedNumbers) {
   ASSERT_EQ(exit_code, 0);  // the input itself is fine
   for (const char* flags :
        {"--threads abc", "--threads=", "--threads 2x", "--threads=abc",
-        "--chunk-mb 3abc", "--chunk-mb 0", "--chunk-mb 17592186044417",
+        "--threads 1025", "--threads=18446744073709551615", "--chunk-mb 3abc", "--chunk-mb 0", "--chunk-mb 17592186044417",
         "--chunk-mb 17592186044416"}) {
     std::remove(out);
     RunCommand(std::string(SPARQLSIM_INGEST) + " " + flags + " " + tiny +

@@ -6,6 +6,7 @@
 
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "cli_test_common.h"
 
@@ -103,16 +104,51 @@ TEST_F(CliTest, ExplainCommand) {
   EXPECT_NE(out.find("virtuoso-like"), std::string::npos);
 }
 
+/// The relation size `bench` printed on the line starting with `solver`.
+std::string BenchRelation(const std::string& out, const std::string& solver) {
+  const size_t line = out.find(solver);
+  if (line == std::string::npos) return "missing";
+  const size_t at = out.find("relation ", line);
+  if (at == std::string::npos) return "missing";
+  return out.substr(at + 9, out.find(')', at) - at - 9);
+}
+
+// The SOI solver and both baselines report the same relation — also when
+// a constant is absent from the data (the baselines used to pin it to
+// node 0 and find matches there).
 TEST_F(CliTest, BenchCommand) {
-  int code = 0;
-  std::string out = RunCommand(
-      "echo 'SELECT * WHERE { ?d <directed> ?m . }' | " +
-          std::string(SPARQLSIM_CLI) + " bench " + NtPath() + " -",
-      &code);
-  EXPECT_EQ(code, 0);
-  EXPECT_NE(out.find("SOI solver"), std::string::npos);
-  EXPECT_NE(out.find("Ma et al."), std::string::npos);
-  EXPECT_NE(out.find("HHK-style"), std::string::npos);
+  for (const auto& [query, relation] :
+       {std::pair<std::string, std::string>{
+            "SELECT * WHERE { ?d <directed> ?m . }", "8"},
+        {"SELECT * WHERE { <NoSuchDirector> <directed> ?m . }", "0"}}) {
+    int code = 0;
+    std::string out = RunCommand("echo '" + query + "' | " +
+                                     std::string(SPARQLSIM_CLI) + " bench " +
+                                     NtPath() + " -",
+                                 &code);
+    EXPECT_EQ(code, 0) << query;
+    for (const char* solver : {"SOI solver", "Ma et al.", "HHK-style"}) {
+      EXPECT_EQ(BenchRelation(out, solver), relation) << query << "\n"
+                                                      << out;
+    }
+  }
+}
+
+// A budget past the steady clock's range never expires: it used to
+// overflow the deadline and truncate the query before its first round.
+TEST_F(CliTest, HugeDeadlineNeverTruncates) {
+  for (const std::string ms : {"10000000000000", "9223372036854775807"}) {
+    int code = 0;
+    std::string out = RunCommand(
+        "echo 'SELECT * WHERE { ?d <directed> ?m . ?d <worked_with> ?c . }' "
+        "| " +
+            std::string(SPARQLSIM_CLI) + " --deadline-ms " + ms + " prune " +
+            NtPath() + " -",
+        &code);
+    EXPECT_EQ(code, 0) << ms;
+    EXPECT_NE(out.find("kept 4 of 20 triples"), std::string::npos) << out;
+    EXPECT_EQ(out.find("truncated"), std::string::npos) << out;
+  }
 }
 
 TEST_F(CliTest, BadInputsFailCleanly) {
@@ -153,6 +189,22 @@ TEST_F(CliTest, BadInputsFailCleanly) {
         EXPECT_EQ(out, "") << arg;
       }
     }
+  }
+  // So is a count past the flag's bound, before any thread starts:
+  // --threads above 1024 (tools::kMaxThreads; SIZE_MAX used to abort in
+  // the thread pool's reserve) and --deadline-ms above the signed
+  // millisecond range (it used to wrap to a negative budget).
+  for (const std::string arg :
+       {"--threads 1025", "--threads=18446744073709551615",
+        "--deadline-ms 9223372036854775808",
+        "--deadline-ms=18446744073709551615"}) {
+    std::string out = RunCommand(
+        "echo 'SELECT * WHERE { ?d <directed> ?m . }' | " +
+            std::string(SPARQLSIM_CLI) + " " + arg + " sim " + NtPath() +
+            " -",
+        &code);
+    EXPECT_EQ(code, 2) << arg;
+    EXPECT_EQ(out, "") << arg;
   }
 }
 

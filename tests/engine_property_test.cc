@@ -340,14 +340,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheConsistency,
                          ::testing::Range<uint64_t>(1, 9));
 
 // ---------------------------------------------------------------------------
-// Solver-axis property: thread count and incremental evaluation must be
-// invisible to pruning — every combination produces the same PruneReport
-// on the same random queries.
+// Solver-axis property: the thread count must be invisible to pruning —
+// every pool size produces the same PruneReport on the same random
+// queries.
 // ---------------------------------------------------------------------------
 
 class SolverAxisConsistency : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SolverAxisConsistency, PruningAgreesAcrossThreadsAndIncremental) {
+TEST_P(SolverAxisConsistency, PruningAgreesAcrossThreads) {
   const uint64_t seed = GetParam();
   util::Rng rng(seed * 277 + 11);
 
@@ -366,26 +366,22 @@ TEST_P(SolverAxisConsistency, PruningAgreesAcrossThreadsAndIncremental) {
     pool.push_back(std::move(parsed).value());
   }
 
-  auto options = [](size_t threads, bool incremental) {
+  auto options = [](size_t threads) {
     sim::SolverOptions o;
     o.num_threads = threads;
-    o.incremental_eval = incremental;
     o.cache_sois = false;  // differential runs must actually solve
     o.cache_solutions = false;
     return o;
   };
 
-  sim::SimEngine reference(&db, options(1, false));
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (bool incremental : {false, true}) {
-      sim::SimEngine engine(&db, options(threads, incremental));
-      for (size_t q = 0; q < pool.size(); ++q) {
-        ExpectSamePrune(engine.Prune(pool[q]), reference.Prune(pool[q]),
-                        "seed " + std::to_string(seed) + " threads " +
-                            std::to_string(threads) + " inc " +
-                            std::to_string(incremental) + " query " +
-                            std::to_string(q));
-      }
+  sim::SimEngine reference(&db, options(1));
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    sim::SimEngine engine(&db, options(threads));
+    for (size_t q = 0; q < pool.size(); ++q) {
+      ExpectSamePrune(engine.Prune(pool[q]), reference.Prune(pool[q]),
+                      "seed " + std::to_string(seed) + " threads " +
+                          std::to_string(threads) + " query " +
+                          std::to_string(q));
     }
   }
 }

@@ -60,7 +60,6 @@ void ExpectSameTrajectory(const SolveStats& actual, const SolveStats& want,
   EXPECT_EQ(actual.row_evals, want.row_evals) << context;
   EXPECT_EQ(actual.col_evals, want.col_evals) << context;
   EXPECT_EQ(actual.delta_evals, want.delta_evals) << context;
-  EXPECT_EQ(actual.full_evals, want.full_evals) << context;
   EXPECT_EQ(actual.cols_cleared, want.cols_cleared) << context;
   EXPECT_EQ(actual.max_round_width, want.max_round_width) << context;
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -211,6 +212,37 @@ TEST(QueryServiceTest, SubmitBatchReturnsReportsInSubmissionOrder) {
     ExpectReportsEqual(reports[i], reference.Prune(pool[i]),
                        "batch query " + std::to_string(i));
   }
+}
+
+// A budget that ends past the steady clock's range never expires: Submit
+// saturates the deadline instead of overflowing the time point (which
+// used to truncate every such query before its first round).
+TEST(QueryServiceTest, BudgetPastTheClockRangeNeverExpires) {
+  datagen::RandomGraphConfig config;
+  config.num_nodes = 40;
+  config.num_edges = 160;
+  config.num_labels = 3;
+  config.seed = 77;
+  graph::GraphDatabase db = datagen::MakeRandomDatabase(config);
+  std::vector<sparql::Query> pool = MakeQueryPool(99, 8, config.num_nodes);
+
+  SolverOptions plain;
+  plain.cache_sois = false;
+  plain.cache_solutions = false;
+  SimEngine reference(&db, plain);
+
+  QueryServiceOptions options;
+  options.num_workers = 2;
+  QueryService service(&db, options);
+  SubmitOptions submit;
+  submit.deadline = std::chrono::milliseconds::max();
+  for (size_t i = 0; i < pool.size(); ++i) {
+    PruneReport report = service.Submit(pool[i], submit).get();
+    EXPECT_FALSE(report.truncated) << "query " << i;
+    ExpectReportsEqual(report, reference.Prune(pool[i]),
+                       "query " + std::to_string(i));
+  }
+  EXPECT_EQ(service.stats().deadline_truncated, 0u);
 }
 
 TEST(QueryServiceTest, InFlightDuplicatesCoalesceDeterministically) {

@@ -1,50 +1,76 @@
-// Differential property suite for delta-driven incremental evaluation
-// (SolverOptions::incremental_eval): for random databases and patterns,
-// solving with the snapshot-retraction delta path must be *bit-identical*
-// to solving with full re-evaluation — same candidate vectors, same
-// fixpoint trajectory (rounds/evaluations/updates) — at every thread
-// count, because a retracted snapshot product is exactly the Eq. (9)
-// union a full evaluation computes. Also pins the counter algebra:
-// delta_evals + full_evals == evaluations, delta_evals == 0 when the
-// knob is off.
+// Differential property suite for the snapshot tier, which runs only for
+// solves handed an IncrementalCarry (SolveRequest::carry — the
+// StandingQuery path): for random databases and patterns, a solve with a
+// fresh carry (snapshot products, retraction of small removals) must be
+// *bit-identical* to the same solve without one — same candidate vectors,
+// same fixpoint trajectory (rounds/evaluations/updates) — on pools of
+// every size, because a retracted snapshot product is exactly the Eq. (9)
+// union a full evaluation computes. Delta evaluations only ever replace
+// row-wise ones, so row + col + delta of the carried solve equals
+// row + col of the plain one. Also pins that solves without a carry —
+// every SimEngine solve — never retract.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "datagen/movies.h"
 #include "datagen/random_graphs.h"
 #include "sim/sim_engine.h"
 #include "sim/soi.h"
 #include "sim/validate.h"
-#include "sparql/parser.h"
+#include "util/thread_pool.h"
 
 namespace sparqlsim::sim {
 namespace {
 
-SolverOptions MakeOptions(bool incremental, size_t threads) {
-  SolverOptions options;
-  options.incremental_eval = incremental;
-  options.num_threads = threads;
-  options.cache_sois = false;  // differential runs must actually solve
-  options.cache_solutions = false;
-  return options;
+struct CarryPair {
+  Solution plain;
+  Solution carried;
+};
+
+/// Solves `soi` through SolveSoi twice: without a carry, and with a fresh
+/// one (everything else in `request` shared).
+CarryPair SolveWithAndWithoutCarry(const Soi& soi,
+                                   const graph::GraphDatabase& db,
+                                   const SolverOptions& options,
+                                   SolveRequest request) {
+  CarryPair out;
+  out.plain = SolveSoi(soi, db, options, request);
+  IncrementalCarry carry;
+  request.carry = &carry;
+  out.carried = SolveSoi(soi, db, options, request);
+  return out;
 }
 
-void ExpectCounterAlgebra(const SolveStats& stats, bool incremental) {
-  EXPECT_EQ(stats.delta_evals + stats.full_evals, stats.evaluations);
-  if (!incremental) {
-    EXPECT_EQ(stats.delta_evals, 0u);
-    EXPECT_EQ(stats.cols_cleared, 0u);
+void ExpectSameSolve(const CarryPair& pair, const std::string& context) {
+  const Solution& plain = pair.plain;
+  const Solution& carried = pair.carried;
+  ASSERT_EQ(carried.candidates.size(), plain.candidates.size()) << context;
+  for (size_t v = 0; v < plain.candidates.size(); ++v) {
+    ASSERT_EQ(carried.candidates[v], plain.candidates[v])
+        << context << ", var " << v;
   }
+  // Identical trajectory, not merely the same fixpoint: the delta path
+  // must not change what any round computes.
+  EXPECT_EQ(carried.stats.rounds, plain.stats.rounds) << context;
+  EXPECT_EQ(carried.stats.evaluations, plain.stats.evaluations) << context;
+  EXPECT_EQ(carried.stats.updates, plain.stats.updates) << context;
+  EXPECT_EQ(carried.stats.row_evals + carried.stats.col_evals +
+                carried.stats.delta_evals,
+            plain.stats.row_evals + plain.stats.col_evals)
+      << context;
+  // Without a carry there is no snapshot to retract from.
+  EXPECT_EQ(plain.stats.delta_evals, 0u) << context;
+  EXPECT_EQ(plain.stats.cols_cleared, 0u) << context;
 }
 
 class IncrementalDifferential : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(IncrementalDifferential, RandomSoiBitIdenticalOnVsOffAcrossThreads) {
+TEST_P(IncrementalDifferential, RandomSoiBitIdenticalWithAndWithoutCarry) {
   const uint64_t seed = GetParam();
   datagen::RandomGraphConfig config;
   config.num_nodes = 140;
@@ -57,76 +83,24 @@ TEST_P(IncrementalDifferential, RandomSoiBitIdenticalOnVsOffAcrossThreads) {
   graph::Graph pattern = datagen::MakeRandomPattern(6, 4, 3, seed + 500);
   Soi soi = BuildSoiFromGraph(pattern);
 
-  Solution reference;  // incremental off, 1 thread
-  bool have_reference = false;
+  Solution reference;  // plain solve on the first pool
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (bool incremental : {false, true}) {
-      SimEngine engine(&db, MakeOptions(incremental, threads));
-      Solution solution = engine.Solve(soi);
-      ExpectCounterAlgebra(solution.stats, incremental);
-      if (!have_reference) {
-        reference = std::move(solution);
-        have_reference = true;
-        std::string why;
-        EXPECT_TRUE(SatisfiesSoi(soi, db, reference.candidates, &why)) << why;
-        continue;
-      }
-      ASSERT_EQ(solution.candidates.size(), reference.candidates.size());
-      for (size_t v = 0; v < reference.candidates.size(); ++v) {
-        ASSERT_EQ(solution.candidates[v], reference.candidates[v])
-            << "seed " << seed << ", threads " << threads << ", incremental "
-            << incremental << ", var " << v;
-      }
-      // Identical trajectory, not merely the same fixpoint: the delta
-      // path must not change what any round computes.
-      EXPECT_EQ(solution.stats.rounds, reference.stats.rounds);
-      EXPECT_EQ(solution.stats.evaluations, reference.stats.evaluations);
-      EXPECT_EQ(solution.stats.updates, reference.stats.updates);
-      // Delta evaluations only ever replace row-wise ones: the eval-kind
-      // split of the full-evaluation reference is preserved.
-      EXPECT_EQ(solution.stats.row_evals + solution.stats.col_evals +
-                    solution.stats.delta_evals,
-                reference.stats.row_evals + reference.stats.col_evals)
-          << "seed " << seed << ", threads " << threads << ", incremental "
-          << incremental;
+    util::ThreadPool pool(threads);
+    CarryPair pair = SolveWithAndWithoutCarry(soi, db, {}, {.pool = &pool});
+    const std::string context =
+        "seed " + std::to_string(seed) + ", " + std::to_string(threads) +
+        " threads";
+    ExpectSameSolve(pair, context);
+    if (reference.candidates.empty()) {
+      reference = std::move(pair.plain);
+      std::string why;
+      EXPECT_TRUE(SatisfiesSoi(soi, db, reference.candidates, &why)) << why;
+      continue;
     }
-  }
-}
-
-TEST_P(IncrementalDifferential, PruneReportsIdenticalOnVsOff) {
-  const uint64_t seed = GetParam();
-  datagen::RandomGraphConfig config;
-  config.num_nodes = 90;
-  config.num_edges = 350;
-  config.num_labels = 2;
-  config.seed = seed + 77;
-  graph::GraphDatabase db = datagen::MakeRandomDatabase(config);
-
-  // OPTIONAL + UNION exercise subordinations and branch batching on top
-  // of the matrix inequalities.
-  auto parsed = sparql::Parser::Parse(
-      "SELECT * WHERE { { ?x <p0> ?y . ?y <p1> ?z . ?z <p0> ?x . "
-      "OPTIONAL { ?y <p0> ?w . } } UNION { ?a <p1> ?b . ?b <p1> ?a . } }");
-  ASSERT_TRUE(parsed.ok()) << parsed.error_message();
-  sparql::Query query = std::move(parsed).value();
-
-  PruneReport off = SimEngine(&db, MakeOptions(false, 1)).Prune(query);
-  ExpectCounterAlgebra(off.stats, /*incremental=*/false);
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    PruneReport on = SimEngine(&db, MakeOptions(true, threads)).Prune(query);
-    ExpectCounterAlgebra(on.stats, /*incremental=*/true);
-    EXPECT_EQ(on.kept_triples, off.kept_triples) << "seed " << seed;
-    ASSERT_EQ(on.var_candidates.size(), off.var_candidates.size());
-    for (const auto& [var, bits] : off.var_candidates) {
-      auto it = on.var_candidates.find(var);
-      ASSERT_NE(it, on.var_candidates.end()) << var;
-      EXPECT_EQ(it->second, bits)
-          << "seed " << seed << ", var " << var << ", " << threads
-          << " threads";
-    }
-    EXPECT_EQ(on.stats.rounds, off.stats.rounds);
-    EXPECT_EQ(on.stats.evaluations, off.stats.evaluations);
-    EXPECT_EQ(on.stats.updates, off.stats.updates);
+    // Pool size is invisible too.
+    EXPECT_EQ(pair.plain.candidates, reference.candidates) << context;
+    EXPECT_EQ(pair.plain.stats.rounds, reference.stats.rounds) << context;
+    EXPECT_EQ(pair.plain.stats.updates, reference.stats.updates) << context;
   }
 }
 
@@ -135,8 +109,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDifferential,
 
 // The forced eval-mode ablations must stay differential-clean too: under
 // kRowWise the delta path replaces repeat row evaluations; under
-// kColumnWise no snapshot product is ever taken and the knob is inert.
-TEST(IncrementalEvalModes, ForcedModesBitIdenticalAndCountersConsistent) {
+// kColumnWise no snapshot product is ever taken and the carry is inert.
+TEST(IncrementalEvalModes, ForcedModesBitIdenticalWithAndWithoutCarry) {
   datagen::RandomGraphConfig config;
   config.num_nodes = 130;
   config.num_edges = 650;
@@ -149,22 +123,12 @@ TEST(IncrementalEvalModes, ForcedModesBitIdenticalAndCountersConsistent) {
   for (auto mode : {SolverOptions::EvalMode::kRowWise,
                     SolverOptions::EvalMode::kColumnWise,
                     SolverOptions::EvalMode::kDynamic}) {
-    SolverOptions off = MakeOptions(false, 1);
-    off.eval_mode = mode;
-    SolverOptions on = MakeOptions(true, 1);
-    on.eval_mode = mode;
-    Solution s_off = SimEngine(&db, off).Solve(soi);
-    Solution s_on = SimEngine(&db, on).Solve(soi);
-    ExpectCounterAlgebra(s_off.stats, false);
-    ExpectCounterAlgebra(s_on.stats, true);
-    ASSERT_EQ(s_on.candidates.size(), s_off.candidates.size());
-    for (size_t v = 0; v < s_off.candidates.size(); ++v) {
-      EXPECT_EQ(s_on.candidates[v], s_off.candidates[v]);
-    }
-    EXPECT_EQ(s_on.stats.rounds, s_off.stats.rounds);
-    EXPECT_EQ(s_on.stats.updates, s_off.stats.updates);
+    SolverOptions options;
+    options.eval_mode = mode;
+    CarryPair pair = SolveWithAndWithoutCarry(soi, db, options, {});
+    ExpectSameSolve(pair, "mode " + std::to_string(static_cast<int>(mode)));
     if (mode == SolverOptions::EvalMode::kColumnWise) {
-      EXPECT_EQ(s_on.stats.delta_evals, 0u);  // no row path, no snapshot
+      EXPECT_EQ(pair.carried.stats.delta_evals, 0u);  // no row path
     }
   }
 }
@@ -189,38 +153,54 @@ TEST(IncrementalRestrictedSolves, InitialAssignmentRespected) {
     for (size_t i = 0; i < db.NumNodes(); i += 2) v.Set(i);
   }
 
-  const SolveRequest request{.initial = &initial};
-  Solution off = SolveSoi(soi, db, MakeOptions(false, 1), request);
-  Solution on = SolveSoi(soi, db, MakeOptions(true, 1), request);
-  ASSERT_EQ(on.candidates.size(), off.candidates.size());
-  for (size_t v = 0; v < off.candidates.size(); ++v) {
-    EXPECT_EQ(on.candidates[v], off.candidates[v]) << "var " << v;
-    EXPECT_TRUE(on.candidates[v].IsSubsetOf(initial[v]));
+  CarryPair pair =
+      SolveWithAndWithoutCarry(soi, db, {}, {.initial = &initial});
+  ExpectSameSolve(pair, "restricted");
+  for (size_t v = 0; v < pair.carried.candidates.size(); ++v) {
+    EXPECT_TRUE(pair.carried.candidates[v].IsSubsetOf(initial[v]));
   }
-  EXPECT_EQ(on.stats.rounds, off.stats.rounds);
-  EXPECT_EQ(on.stats.updates, off.stats.updates);
 }
 
-// On a workload that iterates (a cyclic pattern over the movie graph),
-// the delta path must actually engage — otherwise this whole suite
-// would vacuously pass with an inert knob.
-TEST(IncrementalEngagement, DeltaEvalsFireOnIterativeWorkloads) {
+/// Iterative workloads: cyclic random patterns, denser than the data, that
+/// take several rounds to converge.
+std::pair<graph::GraphDatabase, std::vector<Soi>> IterativeWorkloads() {
   datagen::RandomGraphConfig config;
   config.num_nodes = 200;
   config.num_edges = 700;
   config.num_labels = 2;
   config.seed = 5;
-  graph::GraphDatabase db = datagen::MakeRandomDatabase(config);
-
-  size_t total_delta = 0;
+  std::vector<Soi> sois;
   for (uint64_t pattern_seed = 1; pattern_seed <= 6; ++pattern_seed) {
-    graph::Graph pattern = datagen::MakeRandomPattern(6, 5, 2, pattern_seed);
-    Soi soi = BuildSoiFromGraph(pattern);
-    Solution s = SimEngine(&db, MakeOptions(true, 1)).Solve(soi);
-    total_delta += s.stats.delta_evals;
+    sois.push_back(
+        BuildSoiFromGraph(datagen::MakeRandomPattern(6, 5, 2, pattern_seed)));
+  }
+  return {datagen::MakeRandomDatabase(config), std::move(sois)};
+}
+
+// On those workloads a carried solve's delta path must actually engage —
+// otherwise this whole suite would vacuously pass with an inert tier.
+TEST(IncrementalEngagement, DeltaEvalsFireOnIterativeWorkloads) {
+  const auto [db, sois] = IterativeWorkloads();
+  size_t total_delta = 0;
+  for (const Soi& soi : sois) {
+    IncrementalCarry carry;
+    total_delta += SolveSoi(soi, db, {}, {.carry = &carry}).stats.delta_evals;
   }
   EXPECT_GT(total_delta, 0u)
       << "the incremental path never engaged on any iterative workload";
+}
+
+// The same workloads solved cold through a default SimEngine take no
+// snapshots: the tier belongs to the carry alone.
+TEST(IncrementalEngagement, ColdEngineSolvesNeverRetract) {
+  const auto [db, sois] = IterativeWorkloads();
+  SimEngine engine(&db);
+  for (size_t i = 0; i < sois.size(); ++i) {
+    const Solution solution = engine.Solve(sois[i]);
+    EXPECT_GT(solution.stats.rounds, 1u) << "workload " << i;
+    EXPECT_EQ(solution.stats.delta_evals, 0u) << "workload " << i;
+    EXPECT_EQ(solution.stats.cols_cleared, 0u) << "workload " << i;
+  }
 }
 
 }  // namespace

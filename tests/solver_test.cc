@@ -135,7 +135,6 @@ void ExpectSameTrajectory(const SolveStats& got, const SolveStats& want) {
   EXPECT_EQ(got.row_evals, want.row_evals);
   EXPECT_EQ(got.col_evals, want.col_evals);
   EXPECT_EQ(got.delta_evals, want.delta_evals);
-  EXPECT_EQ(got.full_evals, want.full_evals);
 }
 
 /// SOIs that take several rounds: random patterns over a random database,

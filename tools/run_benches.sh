@@ -132,8 +132,8 @@ SPARQLSIM_BENCH_JSON="$RUN_DIR/bench_outofcore.json" run_bench bench_outofcore
   # data the numbers were measured on.
   echo "  \"db\": \"${SPARQLSIM_DB:-synthetic}\","
   # Structured per-bench JSON, embedded verbatim: the ablation block carries
-  # the incremental-evaluation on/off comparison (seconds + per-variant
-  # rounds/updates/delta counters), parallel the thread scaling, service the
+  # the Sect. 3.3 strategy variants per query (seconds + rounds/updates and
+  # row/column counters), parallel the thread scaling, service the
   # throughput numbers across the worker, steady-state, and snapshot-churn
   # axes (samples[].workers, the steady object and the churn object).
   echo '  "ablation":'

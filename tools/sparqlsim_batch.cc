@@ -12,22 +12,24 @@
 //   sparqlsim_batch [options] --db file.gdb <queries.rq>
 //
 // Options:
-//   --threads N         service worker threads (0 = all hardware, default)
+//   --threads N         service worker threads (0 = all hardware, default;
+//                       at most 1024)
 //   --queue-depth N     max queries in flight before Submit blocks (def. 64)
 //   --cache-capacity N  LRU entry bound per cache layer (0 = unbounded)
 //   --cache|--no-cache  toggle the SOI/solution cache (on by default)
-//   --incremental|--no-incremental
-//                       toggle delta-driven fixpoint evaluation (on by
-//                       default; bit-identical results either way)
 //   --scratch-pool|--no-scratch-pool
 //                       toggle solve-scratch recycling (on by default;
 //                       bit-identical results either way — the off state
 //                       is the differential oracle's allocation profile)
 //   --deadline-ms N     per-query compute budget; expired queries return a
-//                       sound over-approximation marked "truncated"
+//                       sound over-approximation marked "truncated" (at
+//                       most 2^63-1; a budget past the clock's range never
+//                       expires)
 //   --priority high|low default admission class for untagged queries
 //   --repeat K          submit the whole file K times (default 1); repeats
-//                       exercise dedup + the solution cache
+//                       exercise dedup + the solution cache. Every report
+//                       is held until the batch ends, so queries x K may
+//                       not exceed kMaxSubmissions (2^20)
 //   --db FILE           read the database from binary SQSIMDB1 format
 //   --subscribe         register every query as a *standing query* instead
 //                       of submitting it once: each publication re-converges
@@ -76,12 +78,15 @@
 namespace sparqlsim {
 namespace {
 
+/// The most submissions one batch makes (queries x --repeat): every future
+/// and report is held until the batch ends.
+constexpr size_t kMaxSubmissions = size_t{1} << 20;
+
 int Usage() {
   std::fprintf(
       stderr,
       "usage: sparqlsim_batch [--threads N] [--queue-depth N]\n"
       "                       [--cache-capacity N] [--cache|--no-cache]\n"
-      "                       [--incremental|--no-incremental]\n"
       "                       [--scratch-pool|--no-scratch-pool]\n"
       "                       [--deadline-ms N] [--priority high|low]\n"
       "                       [--repeat K] [--db file.gdb] "
@@ -298,21 +303,28 @@ int Run(int argc, char** argv) {
     return true;
   };
 
-  // Numeric flags take plain decimal counts only (tools::ParseCount).
-  const std::pair<const char*, size_t*> count_flags[] = {
-      {"--threads", &options.num_workers},
-      {"--queue-depth", &options.queue_depth},
-      {"--cache-capacity", &options.cache_capacity},
-      {"--repeat", &repeat},
-      {"--deadline-ms", &deadline_ms},
+  // Numeric flags take plain decimal counts only (tools::ParseCount),
+  // each up to its bound.
+  const struct {
+    const char* name;
+    size_t* out;
+    size_t max;
+  } count_flags[] = {
+      {"--threads", &options.num_workers, tools::kMaxThreads},
+      {"--queue-depth", &options.queue_depth, SIZE_MAX},
+      {"--cache-capacity", &options.cache_capacity, SIZE_MAX},
+      {"--repeat", &repeat, SIZE_MAX},
+      {"--deadline-ms", &deadline_ms, tools::kMaxDeadlineMs},
   };
 
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
-    for (const auto& [name, out] : count_flags) {
-      if (!flag_value(i, name, &value)) return Usage();
+    for (const auto& flag : count_flags) {
+      if (!flag_value(i, flag.name, &value)) return Usage();
       if (value == nullptr) continue;
-      if (!tools::ParseCountFlag(name, value, out)) return Usage();
+      if (!tools::ParseCountFlag(flag.name, value, flag.out, flag.max)) {
+        return Usage();
+      }
       break;
     }
     if (value != nullptr) continue;
@@ -355,14 +367,6 @@ int Run(int argc, char** argv) {
       options.solver.cache_sois = options.solver.cache_solutions = false;
       continue;
     }
-    if (std::strcmp(argv[i], "--incremental") == 0) {
-      options.solver.incremental_eval = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--no-incremental") == 0) {
-      options.solver.incremental_eval = false;
-      continue;
-    }
     if (std::strcmp(argv[i], "--scratch-pool") == 0) {
       options.solver.reuse_scratch = true;
       continue;
@@ -398,6 +402,13 @@ int Run(int argc, char** argv) {
 
   if (deltas_path != nullptr && !subscribe) {
     std::fprintf(stderr, "--deltas requires --subscribe\n");
+    return Usage();
+  }
+  if (repeat > kMaxSubmissions / queries.size()) {
+    std::fprintf(stderr,
+                 "invalid --repeat value '%zu' (%zu queries x --repeat may "
+                 "not exceed %zu)\n",
+                 repeat, queries.size(), kMaxSubmissions);
     return Usage();
   }
 

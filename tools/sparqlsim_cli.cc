@@ -13,15 +13,12 @@
 //
 // Options (anywhere on the command line):
 //   --threads N   solver worker threads for sim/prune/bench; 0 = all
-//                 hardware threads (the default). Results are bit-identical
-//                 for every value.
+//                 hardware threads (the default), at most 1024. Results
+//                 are bit-identical for every value.
 //   --no-cache    disable the SimEngine SOI/solution caches (--cache
 //                 re-enables; on by default).
 //   --cache-capacity N  bound each cache layer to N entries (LRU
 //                 eviction); 0 = unbounded (the default).
-//   --no-incremental  disable delta-driven incremental fixpoint evaluation
-//                 (--incremental re-enables; on by default). Purely a
-//                 wall-clock knob: results are bit-identical either way.
 //   --no-scratch-pool  disable solve-scratch recycling (--scratch-pool
 //                 re-enables; on by default). Every solve then allocates
 //                 fresh buffers — the differential oracle configuration.
@@ -30,7 +27,8 @@
 //                 from the environment.
 //   --deadline-ms N  per-query compute budget for sim/prune; an expired
 //                 query stops at the next round boundary and reports a
-//                 sound over-approximation (marked "truncated").
+//                 sound over-approximation (marked "truncated"). At most
+//                 2^63-1; a budget past the clock's range never expires.
 //   --priority P  admission class for sim/prune: high (default) or low
 //                 (yields to waiting high-priority work).
 //   --db FILE     read the database from a binary SQSIMDB file (as written
@@ -83,7 +81,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: sparqlsim [--threads N] [--cache|--no-cache] "
-               "[--cache-capacity N] [--incremental|--no-incremental] "
+               "[--cache-capacity N] "
                "[--scratch-pool|--no-scratch-pool] "
                "[--deadline-ms N] [--priority high|low] "
                "[--db file.gdb] [--resident-mb M] "
@@ -217,27 +215,16 @@ int CmdBench(const sim::SimEngine& engine, const sparql::Query& query) {
   sim::Solution soi = engine.Solve(sim::BuildSoiFromPattern(*query.where, db));
   double t_soi = watch.ElapsedSeconds();
 
-  std::vector<sparql::Term> node_terms;
-  std::vector<std::string> label_names;
-  graph::Graph raw =
-      sparql::BgpToGraph(query.where->triples(), &node_terms, &label_names);
-  graph::Graph pattern(raw.NumNodes());
-  for (const graph::LabeledEdge& e : raw.edges()) {
-    auto id = db.predicates().Lookup(label_names[e.label]);
-    pattern.AddEdge(e.from, id ? *id : sim::kEmptyPredicate, e.to);
-  }
-  std::vector<std::optional<uint32_t>> constants(raw.NumNodes());
-  for (size_t v = 0; v < node_terms.size(); ++v) {
-    if (node_terms[v].IsConstant()) {
-      constants[v] = db.nodes().Lookup(node_terms[v].text()).value_or(0);
-    }
-  }
-
+  // A constant absent from the data empties the relation; the baselines
+  // cannot pin a node to nothing, so they are not run at all then.
+  const sim::PatternWithConstants p =
+      sim::BgpToDataPattern(query.where->triples(), db);
+  sim::Solution ma, hhk;
   watch.Restart();
-  sim::Solution ma = sim::MaDualSimulation(pattern, db, constants);
+  if (p.satisfiable) ma = sim::MaDualSimulation(p.pattern, db, p.constants);
   double t_ma = watch.ElapsedSeconds();
   watch.Restart();
-  sim::Solution hhk = sim::HhkDualSimulation(pattern, db, constants);
+  if (p.satisfiable) hhk = sim::HhkDualSimulation(p.pattern, db, p.constants);
   double t_hhk = watch.ElapsedSeconds();
 
   std::printf("SOI solver:  %10.5fs  (%zu rounds, relation %zu)\n", t_soi,
@@ -261,10 +248,12 @@ int Run(int argc, char** argv) {
   bool use_service = false;  // --deadline-ms/--priority route via the service
   std::vector<const char*> args;
   auto parse_threads = [&](const char* text) {
-    return tools::ParseCountFlag("--threads", text, &options.num_threads);
+    return tools::ParseCountFlag("--threads", text, &options.num_threads,
+                                 tools::kMaxThreads);
   };
   auto parse_deadline = [&](const char* text) {
-    if (!tools::ParseCountFlag("--deadline-ms", text, &deadline_ms)) {
+    if (!tools::ParseCountFlag("--deadline-ms", text, &deadline_ms,
+                               tools::kMaxDeadlineMs)) {
       return false;
     }
     use_service = true;
@@ -341,20 +330,12 @@ int Run(int argc, char** argv) {
       options.cache_sois = options.cache_solutions = false;
       continue;
     }
-    if (std::strcmp(argv[i], "--incremental") == 0) {
-      options.incremental_eval = true;
-      continue;
-    }
     if (std::strcmp(argv[i], "--scratch-pool") == 0) {
       options.reuse_scratch = true;
       continue;
     }
     if (std::strcmp(argv[i], "--no-scratch-pool") == 0) {
       options.reuse_scratch = false;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--no-incremental") == 0) {
-      options.incremental_eval = false;
       continue;
     }
     if (std::strcmp(argv[i], "--deadline-ms") == 0) {

@@ -7,8 +7,9 @@
 // Options:
 //   --permissive   count and skip malformed lines instead of aborting —
 //                  the right mode for real dumps
-//   --threads N    parser threads (default 0 = all hardware threads;
-//                  output is byte-identical for every value)
+//   --threads N    parser threads (default 0 = all hardware threads, at
+//                  most tools::kMaxThreads = 1024; output is
+//                  byte-identical for every value)
 //   --chunk-mb M   parallel parse chunk size in MiB (default 8; tuning
 //                  knob only, never changes the output)
 //   --format v1|v2 output format (default v1). v2 is the footer-indexed
@@ -218,12 +219,11 @@ int Run(int argc, char** argv) {
       } else {
         value = arg.c_str() + std::strlen("--threads=");
       }
-      const std::optional<size_t> threads = tools::ParseCount(value);
-      if (!threads) {
-        std::fprintf(stderr, "invalid --threads value '%s'\n", value);
+      if (!tools::ParseCountFlag("--threads", value,
+                                 &config.parse.num_threads,
+                                 tools::kMaxThreads)) {
         return Usage();
       }
-      config.parse.num_threads = *threads;
     } else if (arg == "--format" || arg.rfind("--format=", 0) == 0) {
       const char* value;
       if (arg == "--format") {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <charconv>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -30,12 +31,29 @@ inline std::optional<size_t> ParseCount(std::string_view text) {
   return value;
 }
 
+/// The largest --threads value the tools accept (solver, service and
+/// parser threads alike). Each tool starts that many threads, so a value
+/// past any real machine is a usage error, not an attempt to start it.
+inline constexpr size_t kMaxThreads = 1024;
+
+/// The largest --deadline-ms value the tools accept: the budget becomes a
+/// std::chrono::milliseconds, whose count is signed.
+inline constexpr size_t kMaxDeadlineMs =
+    static_cast<size_t>(std::chrono::milliseconds::max().count());
+
 /// ParseCount for the text of flag (or environment variable) `name`:
-/// stores the value in *out, or prints a diagnostic and returns false.
-inline bool ParseCountFlag(const char* name, const char* text, size_t* out) {
+/// stores the value in *out, or prints a diagnostic and returns false when
+/// the text is not a count or the count exceeds `max`.
+inline bool ParseCountFlag(const char* name, const char* text, size_t* out,
+                           size_t max = SIZE_MAX) {
   const std::optional<size_t> value = ParseCount(text);
   if (!value) {
     std::fprintf(stderr, "invalid %s value '%s'\n", name, text);
+    return false;
+  }
+  if (*value > max) {
+    std::fprintf(stderr, "invalid %s value '%s' (at most %zu)\n", name, text,
+                 max);
     return false;
   }
   *out = *value;
